@@ -27,8 +27,6 @@
 #include "obs/observability.h"
 #include "query/query_io.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_context.h"
-#include "shard/sharded_engine.h"
 
 namespace tcsm::cli {
 namespace {
@@ -134,27 +132,20 @@ std::unique_ptr<ContinuousEngine> MakeCliEngine(const std::string& kind,
   return nullptr;
 }
 
-/// Parses --shards (clamped to >= 1) and enforces that sharded execution
-/// is only requested with the TCM engine — the only engine instantiated
-/// over the sharded graph view. Returns 0 after printing an error.
-size_t ResolveShards(const FlagSet& flags, const std::string& kind,
-                     std::ostream& out) {
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("shards", 1)));
-  if (shards > 1 && kind != "tcm") {
-    out << "error: --shards=" << shards
-        << " requires --engine=tcm (only the TCM engine reads through "
-           "the sharded graph view)\n";
-    return 0;
-  }
-  return shards;
+/// FlagSet ignores unknown flags, so the removed --shards would silently
+/// run serially; run/replay refuse it instead. Returns false after
+/// printing an error.
+bool RejectRemovedShardsFlag(const FlagSet& flags, std::ostream& out) {
+  if (!flags.Has("shards")) return true;
+  out << "error: --shards was removed along with in-process sharding; "
+         "use --threads=N to fan per-query work out across a pool\n";
+  return false;
 }
 
-/// --threads with a sharded-aware default: one pool lane per shard when
-/// sharding is requested, the serial 1 otherwise.
-size_t ResolveThreads(const FlagSet& flags, size_t shards) {
-  return static_cast<size_t>(std::max<int64_t>(
-      1, flags.GetInt("threads", static_cast<int64_t>(shards))));
+/// --threads, clamped to >= 1; the default 1 is the serial context.
+size_t ResolveThreads(const FlagSet& flags) {
+  return static_cast<size_t>(
+      std::max<int64_t>(1, flags.GetInt("threads", 1)));
 }
 
 /// Builds the synthetic dataset named by `kind` ("random" or a preset);
@@ -249,7 +240,7 @@ std::string JsonEscape(const std::string& s) {
 void PrintStreamResult(const std::string& engine_name,
                        const StreamResult& res, std::ostream& out) {
   out << "engine=" << engine_name << " threads=" << res.num_threads
-      << " shards=" << res.num_shards << " events=" << res.events
+      << " events=" << res.events
       << " occurred=" << res.occurred << " expired=" << res.expired
       << " elapsed_ms=" << FormatDouble(res.elapsed_ms, 2)
       << " peak_bytes=" << res.peak_memory_bytes
@@ -645,11 +636,11 @@ int CmdRun(const Args& args, std::ostream& out) {
   if (flags.positional().size() != 2) {
     out << "usage: tcsm run <dataset> <query-file> [--window=w] "
            "[--directed] [--labels=file] [--limit_ms=T] [--threads=N] "
-           "[--shards=N] [--engine=tcm|timing|symbi|local] [--print] "
-           "[--canonical] [--metrics[=on|off]] [--stats-every=N] "
-           "[--trace-out=FILE]\n";
+           "[--engine=tcm|timing|symbi|local] [--print] [--canonical] "
+           "[--metrics[=on|off]] [--stats-every=N] [--trace-out=FILE]\n";
     return 2;
   }
+  if (!RejectRemovedShardsFlag(flags, out)) return 1;
   TelHeader header;
   const auto ds = LoadDataset(flags, flags.positional()[0], out, &header);
   if (!ds) return 1;
@@ -670,39 +661,25 @@ int CmdRun(const Args& args, std::ostream& out) {
     return 1;
   }
   const std::string kind = flags.GetString("engine", "tcm");
-  const size_t shards = ResolveShards(flags, kind, out);
-  if (shards == 0) return 1;
-  const size_t threads = ResolveThreads(flags, shards);
-  if (threads > 1 && shards == 1) {
+  const size_t threads = ResolveThreads(flags);
+  if (threads > 1) {
     // Fan-out shards *engines*; this subcommand attaches exactly one, so
     // the run stays serial however many workers the pool has. Say so,
     // rather than letting the header's threads= field suggest a parallel
-    // measurement. (--shards=N is different: it splits the graph
-    // maintenance itself, which parallelizes even for one engine.)
+    // measurement.
     out << "note: run attaches a single engine; --threads=" << threads
         << " shards per-engine work and cannot speed up one engine\n";
   }
 
-  // The context owns the shared sliding-window graph — one canonical
-  // graph, or a vertex-partitioned set of shard graphs under --shards.
-  // The engine is a read-only view attached to it. At --threads=1 (the
-  // default) the parallel context spawns no workers and is the serial
-  // context.
-  const GraphSchema schema{ds->directed, ds->vertex_labels};
-  std::unique_ptr<SharedStreamContext> context;
-  std::unique_ptr<ContinuousEngine> engine;
-  if (shards > 1) {
-    auto sharded =
-        std::make_unique<ShardedStreamContext>(schema, shards, threads);
-    engine = std::make_unique<ShardedTcmEngine>(*q, sharded->view());
-    context = std::move(sharded);
-  } else {
-    auto parallel = std::make_unique<ParallelStreamContext>(schema, threads);
-    engine = MakeCliEngine(kind, *q, parallel->graph(), out);
-    context = std::move(parallel);
-  }
+  // The context owns the shared sliding-window graph; the engine is a
+  // read-only view attached to it. At --threads=1 (the default) the
+  // parallel context spawns no workers and is the serial context.
+  ParallelStreamContext context(GraphSchema{ds->directed, ds->vertex_labels},
+                                threads);
+  const std::unique_ptr<ContinuousEngine> engine =
+      MakeCliEngine(kind, *q, context.graph(), out);
   if (!engine) return 1;
-  context->Attach(engine.get());
+  context.Attach(engine.get());
 
   StreamPrintSink print_sink(out);
   CountingSink counting_sink;
@@ -725,7 +702,7 @@ int CmdRun(const Args& args, std::ostream& out) {
   config.obs = obs.obs.get();
   config.stats_every = obs.stats_every;
   config.stats_out = &out;
-  const StreamResult res = RunStream(*ds, config, context.get());
+  const StreamResult res = RunStream(*ds, config, &context);
   PrintStreamResult(engine->name(), res, out);
   if (FinishObs(obs, /*json=*/false, out) != 0) return 1;
   return res.completed ? 0 : 3;
@@ -735,13 +712,14 @@ int CmdReplay(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
   if (flags.positional().size() < 2) {
     out << "usage: tcsm replay <stream.tel|-> <query-file>... [--window=w] "
-           "[--threads=N] [--shards=N] [--max-events=N] [--limit_ms=T] "
+           "[--threads=N] [--max-events=N] [--limit_ms=T] "
            "[--engine=tcm|timing|symbi|local] [--print] [--canonical] "
            "[--json] [--seek-ts=T] [--flight-record=N --flight-dump=FILE "
            "[--flight-format=text|binary]] [--metrics[=on|off]] "
            "[--stats-every=N] [--trace-out=FILE]\n";
     return 2;
   }
+  if (!RejectRemovedShardsFlag(flags, out)) return 1;
   const std::string stream_path = flags.positional()[0];
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -802,34 +780,20 @@ int CmdReplay(const Args& args, std::ostream& out) {
         << " absence predicate(s) (absence defers emission)\n";
   }
   const std::string kind = flags.GetString("engine", "tcm");
-  const size_t shards = ResolveShards(flags, kind, out);
-  if (shards == 0) return 1;
-  const size_t threads = ResolveThreads(flags, shards);
+  const size_t threads = ResolveThreads(flags);
   // --json promises machine-readable stdout: exactly one JSON line, so
   // the advisory chatter below is suppressed under it.
-  if (threads > 1 && shards == 1 && queries.size() == 1 && !json) {
+  if (threads > 1 && queries.size() == 1 && !json) {
     out << "note: one query attaches a single engine; --threads=" << threads
         << " cannot speed up one engine (pass several query files)\n";
   }
 
-  std::unique_ptr<SharedStreamContext> context;
-  ShardedStreamContext* sharded = nullptr;
-  if (shards > 1) {
-    auto c = std::make_unique<ShardedStreamContext>(reader.schema(), shards,
-                                                    threads);
-    sharded = c.get();
-    context = std::move(c);
-  } else {
-    context =
-        std::make_unique<ParallelStreamContext>(reader.schema(), threads);
-  }
+  ParallelStreamContext context(reader.schema(), threads);
   std::vector<std::unique_ptr<ContinuousEngine>> engines;
   std::vector<std::unique_ptr<MatchSink>> owned_sinks;
   for (size_t i = 0; i < queries.size(); ++i) {
     std::unique_ptr<ContinuousEngine> engine =
-        sharded != nullptr
-            ? std::make_unique<ShardedTcmEngine>(queries[i], sharded->view())
-            : MakeCliEngine(kind, queries[i], context->graph(), out);
+        MakeCliEngine(kind, queries[i], context.graph(), out);
     if (!engine) return 1;
     MatchSink* sink = nullptr;
     if (flags.Has("print")) {
@@ -856,14 +820,7 @@ int CmdReplay(const Args& args, std::ostream& out) {
       }
     }
     if (sink != nullptr) engine->set_sink(sink);
-    if (sharded != nullptr) {
-      // Contiguous engine -> shard placement (shard-monotone in attach
-      // order), so the global match stream keeps the serial attach order
-      // (DESIGN.md §10).
-      sharded->AttachToShard(i * shards / queries.size(), engine.get());
-    } else {
-      context->Attach(engine.get());
-    }
+    context.Attach(engine.get());
     engines.push_back(std::move(engine));
   }
 
@@ -949,7 +906,7 @@ int CmdReplay(const Args& args, std::ostream& out) {
   // ahead of the final summary line, so stdout stays line-parseable.
   opts.stats_json = json;
   opts.stats_out = &out;
-  auto res = ReplayStream(&reader, opts, context.get());
+  auto res = ReplayStream(&reader, opts, &context);
   if (!res.ok()) {
     out << "error: " << res.status().ToString() << "\n";
     dump_flight();  // the retained window is the reproducer
@@ -959,8 +916,7 @@ int CmdReplay(const Args& args, std::ostream& out) {
   if (json) {
     out << "{\"stream\":\"" << JsonEscape(reader.source())
         << "\",\"engine\":\"" << kind
-        << "\",\"threads\":" << r.num_threads
-        << ",\"shards\":" << r.num_shards << ",\"events\":" << r.events
+        << "\",\"threads\":" << r.num_threads << ",\"events\":" << r.events
         << ",\"occurred\":" << r.occurred << ",\"expired\":" << r.expired
         << ",\"elapsed_ms\":" << FormatDouble(r.elapsed_ms, 3)
         << ",\"peak_bytes\":" << r.peak_memory_bytes

@@ -6,8 +6,8 @@
 
 // Deferred emission for absence predicates (DESIGN.md §12). The state
 // machine below is deliberately tiny and strictly sequential per engine, so
-// serial, thread-parallel, and sharded execution — all of which notify each
-// engine with the same per-event sequence — stay byte-identical. The
+// serial and thread-parallel execution — both of which notify each engine
+// with the same per-event sequence — stay byte-identical. The
 // snapshot checker in tests/testlib/stream_checker.h mirrors these
 // semantics independently; keep the two in sync through the spec, not by
 // sharing code.

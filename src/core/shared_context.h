@@ -39,23 +39,19 @@ class SharedStreamContext {
   const TemporalGraph& graph() const { return g_; }
 
   /// Registers an engine constructed against graph(). The engine must
-  /// outlive all subsequent event processing. Virtual so a sharded
-  /// context (src/shard/) can route the engine to a shard while still
-  /// recording it here for the aggregate accessors.
-  virtual void Attach(ContinuousEngine* engine);
+  /// outlive all subsequent event processing.
+  void Attach(ContinuousEngine* engine);
   const std::vector<ContinuousEngine*>& engines() const { return engines_; }
 
   /// Applies an arrival to the shared graph (edge ids must be the dense
   /// arrival indices 0, 1, 2, ... of TemporalDataset::Normalize()) and
-  /// notifies every engine with the canonical graph edge. Virtual (like
-  /// the batch entry points) so a sharded context can substitute its own
-  /// storage: the base implementation touches the base g_.
-  virtual void OnEdgeArrival(const TemporalEdge& ed);
+  /// notifies every engine with the canonical graph edge.
+  void OnEdgeArrival(const TemporalEdge& ed);
 
   /// Two-phase expiration (DESIGN.md §3): engines first enumerate the
   /// embeddings that die with the edge against the pre-deletion graph,
   /// then the edge is removed once and engines update their indexes.
-  virtual void OnEdgeExpiry(const TemporalEdge& ed);
+  void OnEdgeExpiry(const TemporalEdge& ed);
 
   /// Micro-batch entry points (DESIGN.md §9): `count` consecutive events
   /// of one kind sharing a timestamp, delivered together so a driver can
@@ -94,11 +90,6 @@ class SharedStreamContext {
   /// Total parallelism of the engine fan-out, including the driver
   /// thread. The serial base class always reports 1.
   virtual size_t num_threads() const { return 1; }
-
-  /// Number of vertex partitions the data graph is split across
-  /// (src/shard/). Unsharded contexts — everything except
-  /// ShardedStreamContext — report 1.
-  virtual size_t num_shards() const { return 1; }
 
  protected:
   /// Engine fan-out seam. The base implementations notify every attached

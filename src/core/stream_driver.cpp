@@ -149,7 +149,6 @@ StreamResult RunStream(const TemporalDataset& dataset,
   result.peak_memory_bytes = peak.peak_bytes();
   result.peak_memory_event_index = peak.peak_event_index();
   result.num_threads = context->num_threads();
-  result.num_shards = context->num_shards();
   if (config.obs != nullptr) {
     // Publish this run's deltas so a registry snapshot, --json, and
     // BENCH JSON all read one source of truth.

@@ -83,9 +83,6 @@ struct StreamResult {
   /// the pool width for a ParallelStreamContext) — recorded so bench/CLI
   /// output always states how a measurement was produced.
   size_t num_threads = 1;
-  /// Vertex partitions of the data graph (1 for unsharded contexts, S for
-  /// a ShardedStreamContext) — recorded for the same reason.
-  size_t num_shards = 1;
 };
 
 StreamResult RunStream(const TemporalDataset& dataset,

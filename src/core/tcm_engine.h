@@ -73,35 +73,18 @@ struct TcmConfig {
   /// filter inline, the pre-partitioning storage behavior; kept as an
   /// ablation for bench_storage_scaling.
   bool partitioned_adjacency = true;
-  /// Consult the graph's per-vertex Bloom signature masks
-  /// (TemporalGraph::MayHaveMatching) before every partitioned bucket scan
-  /// of the filter recomputation and the DCS rescan, skipping scans that
-  /// provably yield no matching entry (direction-aware on directed
-  /// graphs). Never changes results — the filter has no false negatives —
-  /// only the adj_entries_scanned work. Kept as an ablation knob; no-op
-  /// without partitioned_adjacency.
-  bool use_bloom_prefilter = true;
 };
 
-/// The engine is a template over the graph type: the matching code is
-/// identical whether it reads the canonical single TemporalGraph or a
-/// sharded view routing every per-vertex read to the owning shard
-/// (src/shard/sharded_graph.h). GraphT must expose the TemporalGraph
-/// read surface: VertexLabel, directed, MayHaveMatching,
-/// NeighborsMatching, ForEachNeighbor, EdgeNear, AliveEdge. `TcmEngine`
-/// below is the canonical instantiation every single-graph call site
-/// keeps using.
-template <typename GraphT>
-class BasicTcmEngine : public ContinuousEngine {
+class TcmEngine : public ContinuousEngine {
  public:
-  /// `graph` is the context-owned shared graph (or sharded view); it must
-  /// outlive the engine, carry the data vertex set with its labels, and
-  /// match the query's directedness.
-  BasicTcmEngine(const QueryGraph& query, const GraphT& graph,
-                 TcmConfig config = {});
+  /// `graph` is the context-owned shared graph; it must outlive the
+  /// engine, carry the data vertex set with its labels, and match the
+  /// query's directedness.
+  TcmEngine(const QueryGraph& query, const TemporalGraph& graph,
+            TcmConfig config = {});
 
-  BasicTcmEngine(const BasicTcmEngine&) = delete;
-  BasicTcmEngine& operator=(const BasicTcmEngine&) = delete;
+  TcmEngine(const TcmEngine&) = delete;
+  TcmEngine& operator=(const TcmEngine&) = delete;
 
   std::string name() const override;
   void OnEdgeInserted(const TemporalEdge& ed) override;
@@ -111,9 +94,9 @@ class BasicTcmEngine : public ContinuousEngine {
 
   const DcsIndex& dcs() const { return dcs_; }
   const QueryDag& dag() const { return dag_q_; }
-  BasicMaxMinIndex<GraphT>* filter_q() { return filter_q_.get(); }
-  BasicMaxMinIndex<GraphT>* filter_r() { return filter_r_.get(); }
-  const GraphT& graph() const { return g_; }
+  MaxMinIndex* filter_q() { return filter_q_.get(); }
+  MaxMinIndex* filter_r() { return filter_r_.get(); }
+  const TemporalGraph& graph() const { return g_; }
 
  private:
   struct SearchResult {
@@ -170,11 +153,11 @@ class BasicTcmEngine : public ContinuousEngine {
   QueryDag dag_q_;
   QueryDag dag_r_;
   TcmConfig config_;
-  const GraphT& g_;  // shared, owned by the stream context
+  const TemporalGraph& g_;  // shared, owned by the stream context
   /// (edge label, label(u), label(v)) per query edge, for Relevant().
   std::vector<std::array<Label, 3>> feasible_sigs_;
-  std::unique_ptr<BasicMaxMinIndex<GraphT>> filter_q_;
-  std::unique_ptr<BasicMaxMinIndex<GraphT>> filter_r_;
+  std::unique_ptr<MaxMinIndex> filter_q_;
+  std::unique_ptr<MaxMinIndex> filter_r_;
   DcsIndex dcs_;
 
   // Scratch for UpdateStructures.
@@ -206,16 +189,6 @@ class BasicTcmEngine : public ContinuousEngine {
   std::vector<Timestamp> expand_ets_;
 };
 
-/// The canonical single-graph instantiation; compiled once in
-/// tcm_engine.cpp (extern template keeps every includer's rebuild cheap).
-using TcmEngine = BasicTcmEngine<TemporalGraph>;
-
-}  // namespace tcsm
-
-#include "core/tcm_engine-inl.h"
-
-namespace tcsm {
-extern template class BasicTcmEngine<TemporalGraph>;
 }  // namespace tcsm
 
 #endif  // TCSM_CORE_TCM_ENGINE_H_

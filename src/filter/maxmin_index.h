@@ -46,11 +46,8 @@ struct UvPair {
 /// flip == false: qe.u -> ed.src, qe.v -> ed.dst; flip == true: swapped.
 /// Directed graphs admit only flip == false (query direction u->v must
 /// match data direction src->dst).
-/// Generic over the graph type: any store exposing VertexLabel() works
-/// (the canonical TemporalGraph, or a sharded view — see src/shard/).
-template <typename GraphT>
-bool StaticFeasible(const QueryGraph& query, const GraphT& graph, EdgeId qe,
-                    const TemporalEdge& ed, bool flip) {
+inline bool StaticFeasible(const QueryGraph& query, const TemporalGraph& graph,
+                           EdgeId qe, const TemporalEdge& ed, bool flip) {
   if (query.directed() && flip) return false;
   const QueryEdge& q = query.Edge(qe);
   if (q.elabel != ed.label) return false;
@@ -60,28 +57,16 @@ bool StaticFeasible(const QueryGraph& query, const GraphT& graph, EdgeId qe,
          query.VertexLabel(q.v) == graph.VertexLabel(image_v);
 }
 
-/// The index is a template over the graph type so the identical filtering
-/// code runs against the canonical single graph and against a sharded
-/// read view (src/shard/sharded_graph.h) — the view exposes the same
-/// adjacency surface (VertexLabel / directed / MayHaveMatching /
-/// NeighborsMatching / ForEachNeighbor), just routed to the owning
-/// shard. `MaxMinIndex` below is the canonical instantiation.
-template <typename GraphT>
-class BasicMaxMinIndex {
+class MaxMinIndex {
  public:
   /// `graph` and `dag` must outlive the index. The graph must be the
   /// engine's live windowed graph; the index reads adjacency lazily.
   /// With `partitioned_adjacency` (the default) entry recomputation scans
   /// only the (edge label, neighbor label) bucket each DAG edge can match;
   /// without it every incident entry is visited and filtered inline — the
-  /// pre-partitioning behavior, kept as a measurable ablation. With
-  /// `bloom_prefilter` (the default, partitioned mode only) each bucket
-  /// scan first consults the graph's per-vertex direction-aware Bloom
-  /// signature and is skipped outright when no entry can match — the
-  /// scan counters then record zero visits for it.
-  BasicMaxMinIndex(const GraphT* graph, const QueryDag* dag,
-                   bool partitioned_adjacency = true,
-                   bool bloom_prefilter = true);
+  /// pre-partitioning behavior, kept as a measurable ablation.
+  MaxMinIndex(const TemporalGraph* graph, const QueryDag* dag,
+              bool partitioned_adjacency = true);
 
   /// Incremental update after `ed` was inserted into the graph
   /// (TCMInsertion). Appends to `touched` the entries whose gate values
@@ -144,20 +129,10 @@ class BasicMaxMinIndex {
 
   /// Invokes `fn(entry)` for the entries of v's (elabel, nbr_label)
   /// bucket (partitioned mode) or for every incident entry (flat mode),
-  /// maintaining the scan counter either way. `want_out` is the required
-  /// entry direction from v's perspective (ignored on undirected graphs):
-  /// the caller still re-checks it per entry, but the Bloom pre-filter
-  /// uses it to skip buckets holding only wrong-direction entries. The
-  /// skip is sound because a scan whose every entry fails the direction
-  /// check has no effect besides incrementing the scan counter.
+  /// maintaining the scan counter either way.
   template <typename Fn>
-  void ScanNeighbors(VertexId v, Label elabel, Label nbr_label,
-                     bool want_out, Fn&& fn) {
+  void ScanNeighbors(VertexId v, Label elabel, Label nbr_label, Fn&& fn) {
     if (partitioned_) {
-      if (prefilter_ &&
-          !graph_->MayHaveMatching(v, elabel, nbr_label, want_out)) {
-        return;
-      }
       for (const AdjEntry& a : graph_->NeighborsMatching(v, elabel,
                                                          nbr_label)) {
         ++scanned_;
@@ -171,11 +146,10 @@ class BasicMaxMinIndex {
     }
   }
 
-  const GraphT* graph_;
+  const TemporalGraph* graph_;
   const QueryDag* dag_;
   const QueryGraph* query_;
   const bool partitioned_;
-  const bool prefilter_;
   uint64_t scanned_ = 0;
   uint64_t matched_ = 0;
 
@@ -184,16 +158,6 @@ class BasicMaxMinIndex {
   std::vector<std::unordered_map<VertexId, uint8_t>> dirty_;
 };
 
-/// The canonical instantiation every existing call site uses; compiled
-/// once in maxmin_index.cpp (extern template keeps rebuilds cheap).
-using MaxMinIndex = BasicMaxMinIndex<TemporalGraph>;
-
-}  // namespace tcsm
-
-#include "filter/maxmin_index-inl.h"
-
-namespace tcsm {
-extern template class BasicMaxMinIndex<TemporalGraph>;
 }  // namespace tcsm
 
 #endif  // TCSM_FILTER_MAXMIN_INDEX_H_

@@ -35,8 +35,8 @@ uint32_t TemporalGraph::AllocNode(const AdjEntry& entry) {
 uint32_t TemporalGraph::LinkNode(VertexId v, const AdjEntry& entry) {
   const uint32_t n = AllocNode(entry);
   VertexAdj& va = adj_[v];
-  const uint64_t sig = PackPair(entry.elabel, vertex_labels_[entry.nbr]);
-  Bucket& bucket = va.buckets[sig];
+  Bucket& bucket =
+      va.buckets[PackPair(entry.elabel, vertex_labels_[entry.nbr])];
   nodes_[n].prev = bucket.tail;
   nodes_[n].next = kNilNode;
   if (bucket.tail == kNilNode) {
@@ -47,15 +47,6 @@ uint32_t TemporalGraph::LinkNode(VertexId v, const AdjEntry& entry) {
   bucket.tail = n;
   ++bucket.size;
   ++va.degree;
-  va.sig_any.Add(sig);
-  if (directed_) {
-    if (entry.out) {
-      ++bucket.out_size;
-      va.sig_out.Add(sig);
-    } else {
-      va.sig_in.Add(sig);
-    }
-  }
   return n;
 }
 
@@ -81,37 +72,9 @@ void TemporalGraph::UnlinkNode(VertexId v, uint32_t node) {
   TCSM_CHECK(bucket.size > 0);
   --bucket.size;
   --va.degree;
-  if (directed_ && entry.out) {
-    TCSM_CHECK(bucket.out_size > 0);
-    --bucket.out_size;
-  }
-  // Signature masks: a Bloom bit may be shared between buckets, so bits
-  // cannot be cleared per-key; when a count drops to zero the affected
-  // masks are re-derived from the surviving buckets instead (keeps
-  // MayHaveMatching exact — no false negatives, ever).
-  if (bucket.size == 0 ||
-      (directed_ && (entry.out ? bucket.out_size == 0
-                               : bucket.size == bucket.out_size))) {
-    RebuildSigMasks(v);
-  }
   // Push onto the node free-list.
   nodes_[node].next = free_node_head_;
   free_node_head_ = node;
-}
-
-void TemporalGraph::RebuildSigMasks(VertexId v) {
-  VertexAdj& va = adj_[v];
-  va.sig_any.Clear();
-  va.sig_out.Clear();
-  va.sig_in.Clear();
-  for (const auto& [sig, bucket] : va.buckets) {
-    if (bucket.size == 0) continue;
-    va.sig_any.Add(sig);
-    if (directed_) {
-      if (bucket.out_size > 0) va.sig_out.Add(sig);
-      if (bucket.size > bucket.out_size) va.sig_in.Add(sig);
-    }
-  }
 }
 
 void TemporalGraph::DrainPendingFrees() {
@@ -218,9 +181,6 @@ void TemporalGraph::ClearEdges() {
   for (auto& va : adj_) {
     va.buckets.clear();
     va.degree = 0;
-    va.sig_any.Clear();
-    va.sig_out.Clear();
-    va.sig_in.Clear();
   }
 }
 

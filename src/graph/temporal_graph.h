@@ -34,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bloom.h"
 #include "common/logging.h"
 #include "common/types.h"
 #include "graph/temporal_edge.h"
@@ -81,11 +80,11 @@ class TemporalGraph {
   /// InsertEdge with a caller-assigned id. `id` must be >= the next id
   /// this graph would assign; the skipped ids become permanent holes in
   /// the id ring (Alive() false, Edge() CHECK-fails — exactly like a
-  /// reclaimed id). This is how a shard keeps the *global* dense arrival
-  /// ids for the subset of edges it holds, so EdgeId-keyed engine state
-  /// stays identical to an unsharded run (see src/shard/). The holes are
-  /// reclaimed by the same front-advance as expired ids, so IdSpan stays
-  /// O(window) under FIFO expiry regardless of how sparse the subset is.
+  /// reclaimed id). The stream context inserts every arrival under its
+  /// driver-assigned dense arrival index, so a seeked replay that starts
+  /// mid-stream keeps the ids (and all EdgeId-keyed engine state) of a
+  /// full replay. The holes are reclaimed by the same front-advance as
+  /// expired ids, so IdSpan stays O(window) under FIFO expiry.
   EdgeId InsertEdgeAs(EdgeId id, VertexId src, VertexId dst, Timestamp ts,
                       Label label = 0);
 
@@ -125,14 +124,6 @@ class TemporalGraph {
   }
 
   size_t Degree(VertexId v) const { return adj_[v].degree; }
-
-  /// The exact per-vertex signature masks behind MayHaveMatching —
-  /// exported so a sharded deployment can publish a vertex's filter state
-  /// to the other shards (src/shard/summaries.h). False-negative-free by
-  /// construction (bits are re-derived whenever a bucket count hits zero).
-  const Bloom64& VertexSigAny(VertexId v) const { return adj_[v].sig_any; }
-  const Bloom64& VertexSigOut(VertexId v) const { return adj_[v].sig_out; }
-  const Bloom64& VertexSigIn(VertexId v) const { return adj_[v].sig_in; }
 
   /// Iterator over one adjacency bucket (an intrusive doubly-linked list
   /// through the node pool). Invalidated by any graph mutation.
@@ -175,21 +166,6 @@ class TemporalGraph {
     size_t size_;
   };
 
-  /// Candidate pre-filter: false means v has *no* live incident edge with
-  /// this (edge label, neighbor label) signature in the wanted direction —
-  /// callers may skip the bucket scan entirely. True is advisory (a Bloom
-  /// bit collision or a bucket mixing directions can report true for an
-  /// empty scan), so a scan gated on it visits at most what an ungated
-  /// scan would. `want_out` is the direction from v's perspective and is
-  /// ignored for undirected graphs. O(1): two mask probes.
-  bool MayHaveMatching(VertexId v, Label elabel, Label nbr_label,
-                       bool want_out) const {
-    const VertexAdj& va = adj_[v];
-    const Bloom64& sig =
-        !directed_ ? va.sig_any : (want_out ? va.sig_out : va.sig_in);
-    return sig.MayContain(PackPair(elabel, nbr_label));
-  }
-
   /// Live incident edges of `v` whose edge label is `elabel` and whose
   /// other endpoint carries `nbr_label`, in chronological order. Both
   /// directions for directed graphs — check AdjEntry::out. Work here is
@@ -224,19 +200,6 @@ class TemporalGraph {
     }
   }
 
-  /// Edge(id), taking the vertex the caller is scanning from as a
-  /// locality hint. The single-graph store has exactly one copy of every
-  /// record, so the hint is unused here; a sharded view routes the read
-  /// to the shard owning `v` (which holds v's complete adjacency). Hot
-  /// rescan paths use this instead of Edge() so they stay shard-local.
-  const TemporalEdge& EdgeNear(VertexId v, EdgeId id) const {
-    (void)v;
-    return Edge(id);
-  }
-  /// Alive(), answered from an edge record the caller already holds —
-  /// a sharded view routes by the record's endpoints instead of the id.
-  bool AliveEdge(const TemporalEdge& e) const { return Alive(e.id); }
-
   /// Approximate heap footprint of the live state (slot + node pools,
   /// id ring, buckets, labels). O(window) under FIFO expiry.
   size_t EstimateMemoryBytes() const;
@@ -261,9 +224,6 @@ class TemporalGraph {
     uint32_t head = kNilNode;
     uint32_t tail = kNilNode;
     uint32_t size = 0;
-    /// Entries whose edge leaves this vertex (in-count = size - out_size);
-    /// drives the direction-aware signature masks on directed graphs.
-    uint32_t out_size = 0;
   };
 
   struct VertexAdj {
@@ -271,13 +231,6 @@ class TemporalGraph {
     /// (bounded by the signatures seen at this vertex).
     std::unordered_map<uint64_t, Bucket> buckets;
     size_t degree = 0;
-    /// Bloom signatures over the PackPair keys of the *non-empty* buckets
-    /// (split by entry direction on directed graphs). Kept exact — bits
-    /// are re-derived from the buckets whenever a count drops to zero —
-    /// so MayHaveMatching is false-negative-free by construction.
-    Bloom64 sig_any;
-    Bloom64 sig_out;
-    Bloom64 sig_in;
   };
 
   /// Pooled storage of one live edge. `node_src`/`node_dst` are the
@@ -304,9 +257,6 @@ class TemporalGraph {
   uint32_t LinkNode(VertexId v, const AdjEntry& entry);
   /// Unlinks `node` from v's matching bucket and frees it.
   void UnlinkNode(VertexId v, uint32_t node);
-  /// Recomputes v's signature masks from its non-empty buckets (called
-  /// when an unlink empties a bucket or a direction within one).
-  void RebuildSigMasks(VertexId v);
   /// Returns pending tombstone slots to the free-list and advances the id
   /// ring past fully reclaimed ids.
   void DrainPendingFrees();

@@ -211,7 +211,6 @@ StatusOr<StreamResult> ReplayStream(StreamReader* reader,
   result.peak_memory_bytes = peak.peak_bytes();
   result.peak_memory_event_index = peak.peak_event_index();
   result.num_threads = context->num_threads();
-  result.num_shards = context->num_shards();
   if (options.obs != nullptr) {
     EngineCounters delta;
     delta.occurred = result.occurred;

@@ -179,7 +179,6 @@ struct StageMetrics {
   Counter* expirations = nullptr;
   Counter* arrival_batches = nullptr;
   Counter* expiry_batches = nullptr;
-  Counter* summary_publishes = nullptr;
   // Ingest accounting (counters): records returned by / bytes consumed
   // from the StreamReader, either framing. Reconciles against
   // StreamResult.events (ingest_records ≥ arrivals + derived expirations'
@@ -196,7 +195,6 @@ struct StageMetrics {
   Histogram* expiry_batch_ns = nullptr;
   Histogram* pipeline_step_ns = nullptr;
   Histogram* sink_drain_ns = nullptr;
-  Histogram* shard_lane_ns = nullptr;
   Histogram* engine_update_ns = nullptr;
   Histogram* engine_search_ns = nullptr;
 };

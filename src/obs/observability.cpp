@@ -9,7 +9,6 @@ Observability::Observability() {
   stages_.expirations = registry_.AddCounter("stream.expirations");
   stages_.arrival_batches = registry_.AddCounter("stream.arrival_batches");
   stages_.expiry_batches = registry_.AddCounter("stream.expiry_batches");
-  stages_.summary_publishes = registry_.AddCounter("shard.summary_publishes");
   stages_.ingest_records = registry_.AddCounter("io.ingest_records");
   stages_.ingest_bytes = registry_.AddCounter("io.ingest_bytes");
 
@@ -31,7 +30,6 @@ Observability::Observability() {
   stages_.pipeline_step_ns =
       registry_.AddHistogram("stage.pipeline_step_ns", bounds);
   stages_.sink_drain_ns = registry_.AddHistogram("stage.sink_drain_ns", bounds);
-  stages_.shard_lane_ns = registry_.AddHistogram("stage.shard_lane_ns", bounds);
   stages_.engine_update_ns =
       registry_.AddHistogram("stage.engine_update_ns", bounds);
   stages_.engine_search_ns =

@@ -37,7 +37,7 @@ class TraceWriter {
   }
 
   /// Record one complete-duration span on the calling thread's track.
-  /// An optional single integer argument (e.g. batch size, shard index)
+  /// An optional single integer argument (e.g. batch size, edge index)
   /// lands in the span's "args" object.
   void Emit(const char* name, const char* cat, uint64_t start_ns,
             uint64_t dur_ns, const char* arg_key = nullptr,

@@ -62,7 +62,6 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
       << run.str();
   EXPECT_NE(run.str().find("engine=TCM"), std::string::npos);
   EXPECT_NE(run.str().find("threads=1"), std::string::npos);
-  EXPECT_NE(run.str().find("shards=1"), std::string::npos);
   EXPECT_NE(run.str().find("occurred="), std::string::npos);
 
   // --threads routes through the parallel context, is echoed in the run
@@ -82,27 +81,18 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   };
   EXPECT_EQ(counts(par.str()), counts(run.str()));
 
-  // --shards splits the data graph across vertex partitions. The header
-  // records the shard count (and the one-lane-per-shard default thread
-  // count), and the match counts are identical to the serial run — the
-  // sharded context's determinism guarantee.
-  std::ostringstream shr;
-  ASSERT_EQ(
-      CmdRun({edges, query, "--window=200", labels, "--shards=4"}, shr), 0)
-      << shr.str();
-  EXPECT_NE(shr.str().find("shards=4"), std::string::npos);
-  EXPECT_NE(shr.str().find("threads=4"), std::string::npos);
-  EXPECT_EQ(counts(shr.str()), counts(run.str()));
-
-  // Only the TCM engine is instantiated over the sharded graph view;
-  // asking for a sharded baseline is a named error, not a silent serial
-  // fallback.
-  std::ostringstream shbad;
-  EXPECT_EQ(CmdRun({edges, query, "--window=200", labels, "--shards=2",
-                    "--engine=timing"},
-                   shbad),
-            1);
-  EXPECT_NE(shbad.str().find("requires --engine=tcm"), std::string::npos);
+  // In-process sharding is gone. Unknown flags are otherwise ignored,
+  // so the old --shards is a named error in both streaming subcommands
+  // rather than a silent serial run.
+  for (const auto& cmd : {CmdRun, CmdReplay}) {
+    std::ostringstream shards;
+    EXPECT_EQ(cmd({edges, query, "--window=200", labels, "--shards=4"},
+                  shards),
+              1);
+    EXPECT_NE(shards.str().find("error: --shards was removed"),
+              std::string::npos)
+        << shards.str();
+  }
 
   // All engines accept the same pipeline.
   for (const std::string engine : {"timing", "symbi", "local"}) {
@@ -190,14 +180,6 @@ TEST(Cli, GenTelAndReplay) {
   EXPECT_EQ(matches(replay.str()), matches(run.str()));
   EXPECT_NE(matches(run.str()), "");
 
-  // A sharded replay reports the same matches in the same order — the
-  // byte-identical stream contract at the CLI surface.
-  std::ostringstream shreplay;
-  ASSERT_EQ(CmdReplay({tel, query, "--print", "--shards=2"}, shreplay), 0)
-      << shreplay.str();
-  EXPECT_NE(shreplay.str().find("shards=2"), std::string::npos);
-  EXPECT_EQ(matches(shreplay.str()), matches(run.str()));
-
   // Several query files fan out across threads; summary is per query.
   std::ostringstream multi;
   ASSERT_EQ(CmdReplay({tel, query, query, "--threads=2"}, multi), 0)
@@ -216,12 +198,7 @@ TEST(Cli, GenTelAndReplay) {
                       json2),
             0);
   EXPECT_EQ(json2.str().rfind("{\"stream\":", 0), 0u) << json2.str();
-  EXPECT_NE(json2.str().find("\"shards\":1"), std::string::npos);
-  std::ostringstream json3;
-  ASSERT_EQ(CmdReplay({tel, query, query, "--json", "--shards=2"}, json3),
-            0);
-  EXPECT_EQ(json3.str().rfind("{\"stream\":", 0), 0u) << json3.str();
-  EXPECT_NE(json3.str().find("\"shards\":2"), std::string::npos);
+  EXPECT_NE(json2.str().find("\"threads\":4"), std::string::npos);
 
   // --max-events caps the arrivals but still expires what arrived.
   std::ostringstream capped;
@@ -497,8 +474,7 @@ TEST(Cli, ObservabilityFlags) {
   // for the streaming stages, and a confirmation line naming the file.
   const std::string trace = TmpPath("cli_obs_trace.json");
   std::ostringstream traced;
-  ASSERT_EQ(CmdReplay({tel, query, "--shards=2", "--threads=2",
-                       "--trace-out=" + trace},
+  ASSERT_EQ(CmdReplay({tel, query, "--threads=2", "--trace-out=" + trace},
                       traced),
             0)
       << traced.str();

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/bitmask.h"
-#include "common/bloom.h"
 #include "common/memory_meter.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -164,50 +163,6 @@ TEST(Types, PackPairRoundTrips) {
   const uint64_t k = PackPair(123456, 654321);
   EXPECT_EQ(PairFirst(k), 123456u);
   EXPECT_EQ(PairSecond(k), 654321u);
-}
-
-TEST(Bloom, NeverForgetsAddedKeys) {
-  // One-sided error: a key that was added always tests positive.
-  Bloom64 b;
-  EXPECT_TRUE(b.empty());
-  for (uint64_t k = 0; k < 500; ++k) {
-    b.Add(k * 0x9e3779b97f4a7c15ull + 7);
-    EXPECT_TRUE(b.MayContain(k * 0x9e3779b97f4a7c15ull + 7));
-  }
-  EXPECT_FALSE(b.empty());
-  b.Clear();
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(b.bits(), 0u);
-}
-
-TEST(Bloom, EmptyFilterRejectsEverything) {
-  const Bloom64 b;
-  for (uint64_t k = 0; k < 100; ++k) EXPECT_FALSE(b.MayContain(k));
-}
-
-TEST(Bloom, SparseFillHasUsefulSelectivity) {
-  // With a handful of keys (the per-vertex signature regime: a few
-  // (elabel, vlabel) pairs), most absent keys must test negative — the
-  // whole point of consulting the mask before a bucket scan.
-  Bloom64 b;
-  for (uint64_t k = 0; k < 4; ++k) b.Add(PackPair(Label(k), Label(k + 9)));
-  size_t false_positives = 0;
-  const size_t probes = 10000;
-  for (uint64_t k = 0; k < probes; ++k) {
-    if (b.MayContain(PackPair(Label(k + 100), Label(k + 5000)))) {
-      ++false_positives;
-    }
-  }
-  // 4 keys set <= 8 of 64 bits; the expected FP rate is ~(8/64)^2 < 2%.
-  // Allow a wide margin — the property that matters is "mostly negative".
-  EXPECT_LT(false_positives, probes / 10);
-}
-
-TEST(Bloom, DeterministicAcrossInstances) {
-  Bloom64 a, b;
-  a.Add(42);
-  b.Add(42);
-  EXPECT_EQ(a.bits(), b.bits());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Round-trip guarantee of the io/ subsystem (DESIGN.md §8): exporting a
 // stream to `.tel` and replaying it off the file must produce a match
 // stream byte-identical to driving the same events from memory — per
-// query and globally, serial and sharded — over the whole fuzz-scenario
+// query and globally, at 1 and 4 threads — over the whole fuzz-scenario
 // catalogue. Also pins the checked-in Figure 2 files (tests/data/) to the
 // in-tree running-example fixtures so the documented worked example can
 // never drift from the code.
@@ -23,7 +23,6 @@
 #include "io/stream_writer.h"
 #include "query/query_io.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_multi_engine.h"
 #include "testlib/fuzz_scenarios.h"
 #include "testlib/running_example.h"
 
@@ -217,46 +216,6 @@ TEST_P(IoRoundTrip, BinaryReplayMatchesInMemory) {
         EXPECT_EQ(replayed.streams[qi], serial.streams[qi])
             << "per-query stream of query " << qi
             << " diverged from the in-memory run";
-      }
-    }
-  }
-}
-
-// Binary replay through the vertex-partitioned sharded fan-out is also
-// identical to the serial in-memory run.
-TEST_P(IoRoundTrip, ShardedBinaryReplayMatchesSerial) {
-  TaggedStreams serial(queries_.size());
-  uint64_t serial_total = 0;
-  RunInMemory(&serial, &serial_total);
-  if (HasFailure()) return;
-
-  TelWriteOptions opts;
-  opts.window = GetParam().window;
-  opts.binary = true;
-  opts.block_records = 7;
-  std::ostringstream out;
-  ASSERT_TRUE(WriteTel(dataset_, opts, out).ok());
-
-  for (const size_t shards : {size_t{2}, size_t{4}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
-                   std::to_string(threads));
-      std::istringstream in(out.str());
-      StreamReader reader(in, GetParam().name + ".tel");
-      ASSERT_TRUE(reader.Init().ok());
-      TaggedStreams sharded(queries_.size());
-      ShardedMultiQueryEngine engine(queries_, reader.schema(), shards,
-                                     TcmConfig{}, threads);
-      engine.set_multi_sink(&sharded);
-      auto res = ReplayStream(&reader, ReplayOptions{}, &engine);
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      ASSERT_TRUE(res.value().completed);
-      EXPECT_EQ(res.value().num_shards, shards);
-      EXPECT_EQ(res.value().occurred + res.value().expired, serial_total);
-      for (size_t qi = 0; qi < queries_.size(); ++qi) {
-        EXPECT_EQ(sharded.streams[qi], serial.streams[qi])
-            << "per-query stream of query " << qi
-            << " diverged from serial execution";
       }
     }
   }

@@ -237,7 +237,7 @@ TEST(TraceWriterTest, SpansFromPoolThreadsGetDistinctNamedTracks) {
   ThreadPool pool(4);
   pool.ParallelFor(64, [&](size_t i) {
     const uint64_t start = trace.NowNs();
-    trace.Emit("lane_notify", "shard", start, 100, "shard", i % 4);
+    trace.Emit("worker_body", "pool", start, 100, "lane", i % 4);
   });
   EXPECT_EQ(trace.NumSpans(), 64u);
   std::ostringstream out;
@@ -249,7 +249,7 @@ TEST(TraceWriterTest, SpansFromPoolThreadsGetDistinctNamedTracks) {
   // 4-wide pool at least two distinct tracks must have participated.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"shard\":"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"lane\":"), std::string::npos);
 }
 
 TEST(TraceWriterTest, ToNsClampsBelowEpoch) {
@@ -264,7 +264,6 @@ TEST(ObservabilityTest, RegistersFullTaxonomyAndFreezes) {
   EXPECT_NE(stages.expirations, nullptr);
   EXPECT_NE(stages.arrival_batches, nullptr);
   EXPECT_NE(stages.expiry_batches, nullptr);
-  EXPECT_NE(stages.summary_publishes, nullptr);
   EXPECT_NE(stages.ingest_records, nullptr);
   EXPECT_NE(stages.ingest_bytes, nullptr);
   EXPECT_NE(stages.live_edges, nullptr);
@@ -275,7 +274,6 @@ TEST(ObservabilityTest, RegistersFullTaxonomyAndFreezes) {
   EXPECT_NE(stages.expiry_batch_ns, nullptr);
   EXPECT_NE(stages.pipeline_step_ns, nullptr);
   EXPECT_NE(stages.sink_drain_ns, nullptr);
-  EXPECT_NE(stages.shard_lane_ns, nullptr);
   EXPECT_NE(stages.engine_update_ns, nullptr);
   EXPECT_NE(stages.engine_search_ns, nullptr);
   EXPECT_TRUE(obs.registry().frozen());

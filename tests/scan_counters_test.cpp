@@ -102,71 +102,6 @@ TEST(ScanCounters, BaselineEnginesCountTheirScans) {
   }
 }
 
-TEST(ScanCounters, BloomPrefilterSkipsWrongDirectionScansMatchesSame) {
-  // Directed multi-label stream: adjacency buckets mix both orientations,
-  // so some bucket scans visit only wrong-direction entries and match
-  // nothing. The direction-aware Bloom masks skip exactly those scans —
-  // the matched count is untouched while the scanned count strictly
-  // drops.
-  SyntheticSpec spec;
-  spec.name = "scan_counters_directed";
-  spec.num_vertices = 40;
-  spec.num_edges = 1200;
-  spec.num_vertex_labels = 4;
-  spec.num_edge_labels = 3;
-  spec.avg_parallel_edges = 1.6;
-  spec.directed = true;
-  spec.seed = 20240722;
-  const TemporalDataset ds = GenerateSynthetic(spec);
-  const GraphSchema schema{ds.directed, ds.vertex_labels};
-  StreamConfig config;
-  config.window = 60;
-  QueryGenOptions opt;
-  opt.num_edges = 4;
-  opt.density = 0.5;
-  opt.window = config.window;
-  Rng rng(spec.seed);
-  QueryGraph q;
-  ASSERT_TRUE(GenerateQuery(ds, opt, &rng, &q));
-
-  TcmConfig off;
-  off.use_bloom_prefilter = false;
-  SingleQueryContext<TcmEngine> off_run(q, schema, off);
-  const StreamResult off_res = RunStream(ds, config, &off_run);
-  ASSERT_TRUE(off_res.completed);
-
-  SingleQueryContext<TcmEngine> on_run(q, schema);
-  const StreamResult on_res = RunStream(ds, config, &on_run);
-  ASSERT_TRUE(on_res.completed);
-
-  EXPECT_EQ(off_res.occurred, on_res.occurred);
-  EXPECT_EQ(off_res.expired, on_res.expired);
-  EXPECT_EQ(off_res.adj_entries_matched, on_res.adj_entries_matched);
-  EXPECT_LT(on_res.adj_entries_scanned, off_res.adj_entries_scanned);
-  EXPECT_GE(on_res.adj_entries_scanned, on_res.adj_entries_matched);
-}
-
-TEST(ScanCounters, BloomPrefilterIsScanNeutralOnUndirectedStreams) {
-  // Undirected buckets hold no direction mix, so every partitioned scan
-  // the prefilter could skip would have visited zero entries anyway: the
-  // scanned counter must be bit-identical with the prefilter on or off
-  // (the filter only saves the hash-map lookups).
-  const Workload w = ManyLabelWorkload();
-
-  TcmConfig off;
-  off.use_bloom_prefilter = false;
-  SingleQueryContext<TcmEngine> off_run(w.query, w.schema, off);
-  const StreamResult off_res = RunStream(w.dataset, w.config, &off_run);
-  ASSERT_TRUE(off_res.completed);
-
-  SingleQueryContext<TcmEngine> on_run(w.query, w.schema);
-  const StreamResult on_res = RunStream(w.dataset, w.config, &on_run);
-  ASSERT_TRUE(on_res.completed);
-
-  EXPECT_EQ(off_res.adj_entries_scanned, on_res.adj_entries_scanned);
-  EXPECT_EQ(off_res.adj_entries_matched, on_res.adj_entries_matched);
-}
-
 TEST(ScanCounters, SingleLabelStreamScansEqualFlatScan) {
   // With one vertex label and one edge label every incident entry sits in
   // the one bucket, so partitioned and flat scans do identical work — the

@@ -27,7 +27,6 @@
 #include "datasets/synthetic.h"
 #include "obs/observability.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_multi_engine.h"
 #include "testlib/fuzz_scenarios.h"
 #include "testlib/stream_checker.h"
 
@@ -134,47 +133,6 @@ TEST_P(StreamFuzz, TcmFilterAblations) {
     SingleQueryContext<TcmEngine> run(query_, schema_, config);
     SCOPED_TRACE("flat adjacency scan");
     Check(&run);
-    if (HasFailure()) return;
-  }
-  {
-    // Prefilter ablation: skipping provably-empty bucket scans via the
-    // Bloom signature masks must be byte-equivalent to always scanning.
-    TcmConfig config;
-    config.use_bloom_prefilter = false;
-    SingleQueryContext<TcmEngine> run(query_, schema_, config);
-    SCOPED_TRACE("bloom prefilter off");
-    Check(&run);
-  }
-}
-
-// The Bloom prefilter may only skip scans that match nothing: the matched
-// counter is identical with it on or off, and the scanned counter never
-// grows. On directed multi-label streams the masks are direction-aware,
-// so scans of buckets holding only wrong-direction entries are skipped
-// and the scanned count strictly drops.
-TEST_P(StreamFuzz, PrefilterOnlySkipsEmptyScans) {
-  StreamConfig config;
-  config.window = GetParam().window;
-
-  TcmConfig off;
-  off.use_bloom_prefilter = false;
-  SingleQueryContext<TcmEngine> run_off(query_, schema_, off);
-  const StreamResult res_off = RunStream(dataset_, config, &run_off);
-  ASSERT_TRUE(res_off.completed);
-
-  SingleQueryContext<TcmEngine> run_on(query_, schema_);
-  const StreamResult res_on = RunStream(dataset_, config, &run_on);
-  ASSERT_TRUE(res_on.completed);
-
-  EXPECT_EQ(res_on.adj_entries_matched, res_off.adj_entries_matched)
-      << "prefilter skipped a scan that would have matched";
-  EXPECT_LE(res_on.adj_entries_scanned, res_off.adj_entries_scanned);
-  if (GetParam().spec.directed && GetParam().spec.num_edge_labels > 1) {
-    // Directed buckets mix both orientations; a multi-label stream always
-    // produces some wrong-direction-only buckets for the masks to skip.
-    EXPECT_LT(res_on.adj_entries_scanned, res_off.adj_entries_scanned)
-        << "direction-aware masks skipped nothing on a directed "
-           "multi-label stream";
   }
 }
 
@@ -275,77 +233,16 @@ TEST_P(StreamFuzz, MultiQueryMatchesSingleQueryEngines) {
 }
 
 // Parallel differential: the same multi-query fan-out sharded across 2,
-// 4, and 8 threads by the ParallelStreamContext machinery must emit, per
-// query, exactly the match stream of the serial MultiQueryEngine —
-// occurred and expired sets byte-identical *including order* (the
-// deterministic-merge contract of DESIGN.md §6).
+// 4, and 8 threads by the ParallelStreamContext machinery must emit
+// exactly the match stream of the serial MultiQueryEngine — per query AND
+// globally, occurred and expired sets byte-identical *including order*
+// (the deterministic attach-order merge of DESIGN.md §6). Scan counters
+// must match too: every engine performs the same reads whichever worker
+// runs it, not merely the same final embedding sets.
 TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
   // A 4-query set: the primary plus three independent walk variants
   // (falling back to earlier queries where the dataset yields no new
   // walk), so the shards are non-trivial at every thread count.
-  std::vector<QueryGraph> queries{query_};
-  for (uint64_t k = 1; k <= 3; ++k) {
-    QueryGraph variant;
-    Rng rng(GetParam().seed ^ (0x517cc1b727220a95ull * k));
-    if (GenerateQuery(dataset_, GetParam().query, &rng, &variant)) {
-      queries.push_back(variant);
-    } else {
-      queries.push_back(queries[k - 1]);
-    }
-  }
-
-  struct TaggedStreams : MultiMatchSink {
-    explicit TaggedStreams(size_t n) : streams(n) {}
-    std::vector<std::vector<std::pair<Embedding, MatchKind>>> streams;
-    void OnMatch(size_t query_index, const Embedding& embedding,
-                 MatchKind kind, uint64_t multiplicity) override {
-      ASSERT_LT(query_index, streams.size());
-      for (uint64_t i = 0; i < multiplicity; ++i) {
-        streams[query_index].emplace_back(embedding, kind);
-      }
-    }
-  };
-
-  StreamConfig config;
-  config.window = GetParam().window;
-
-  TaggedStreams serial(queries.size());
-  uint64_t serial_total = 0;
-  {
-    MultiQueryEngine engine(queries, schema_);
-    engine.set_multi_sink(&serial);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    ASSERT_TRUE(res.completed);
-    ASSERT_EQ(res.num_threads, 1u);
-    serial_total = res.occurred + res.expired;
-  }
-
-  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    TaggedStreams parallel(queries.size());
-    MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
-    engine.set_multi_sink(&parallel);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    ASSERT_TRUE(res.completed);
-    EXPECT_EQ(res.num_threads, threads);
-    EXPECT_EQ(res.occurred + res.expired, serial_total);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      EXPECT_EQ(parallel.streams[qi], serial.streams[qi])
-          << "per-query stream of query " << qi
-          << " diverged from serial execution";
-    }
-  }
-}
-
-// Sharded differential: the same 4-query fan-out over a vertex-
-// partitioned ShardedStreamContext at 2, 4, and 8 shards, each at 1 and
-// 4 threads, must emit exactly the serial MultiQueryEngine's match
-// stream — per query AND globally, byte-identical including order (the
-// shard-then-attach deterministic merge with contiguous engine placement
-// of DESIGN.md §10). Scan counters must match too: mirrored owner
-// adjacency makes every engine read — candidate scans included —
-// identical to the unsharded run, not merely the final embedding sets.
-TEST_P(StreamFuzz, ShardedMatchesSerial) {
   std::vector<QueryGraph> queries{query_};
   for (uint64_t k = 1; k <= 3; ++k) {
     QueryGraph variant;
@@ -384,34 +281,29 @@ TEST_P(StreamFuzz, ShardedMatchesSerial) {
     engine.set_multi_sink(&serial);
     serial_res = RunStream(dataset_, config, &engine);
     ASSERT_TRUE(serial_res.completed);
-    ASSERT_EQ(serial_res.num_shards, 1u);
+    ASSERT_EQ(serial_res.num_threads, 1u);
   }
 
-  for (const size_t shards : {size_t{2}, size_t{4}, size_t{8}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
-                   std::to_string(threads));
-      TaggedStreams sharded(queries.size());
-      ShardedMultiQueryEngine engine(queries, schema_, shards, TcmConfig{},
-                                     threads);
-      engine.set_multi_sink(&sharded);
-      const StreamResult res = RunStream(dataset_, config, &engine);
-      ASSERT_TRUE(res.completed);
-      EXPECT_EQ(res.num_shards, shards);
-      EXPECT_EQ(res.num_threads, threads);
-      EXPECT_EQ(res.occurred + res.expired,
-                serial_res.occurred + serial_res.expired);
-      EXPECT_EQ(res.adj_entries_scanned, serial_res.adj_entries_scanned)
-          << "sharded execution scanned different adjacency entries";
-      EXPECT_EQ(res.adj_entries_matched, serial_res.adj_entries_matched);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        EXPECT_EQ(sharded.streams[qi], serial.streams[qi])
-            << "per-query stream of query " << qi
-            << " diverged from serial execution";
-      }
-      EXPECT_EQ(sharded.global, serial.global)
-          << "global match interleaving diverged from serial execution";
+  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TaggedStreams parallel(queries.size());
+    MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
+    engine.set_multi_sink(&parallel);
+    const StreamResult res = RunStream(dataset_, config, &engine);
+    ASSERT_TRUE(res.completed);
+    EXPECT_EQ(res.num_threads, threads);
+    EXPECT_EQ(res.occurred + res.expired,
+              serial_res.occurred + serial_res.expired);
+    EXPECT_EQ(res.adj_entries_scanned, serial_res.adj_entries_scanned)
+        << "parallel execution scanned different adjacency entries";
+    EXPECT_EQ(res.adj_entries_matched, serial_res.adj_entries_matched);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      EXPECT_EQ(parallel.streams[qi], serial.streams[qi])
+          << "per-query stream of query " << qi
+          << " diverged from serial execution";
     }
+    EXPECT_EQ(parallel.global, serial.global)
+        << "global match interleaving diverged from serial execution";
   }
 }
 
@@ -478,8 +370,7 @@ TEST_P(StreamFuzz, BatchedMatchesUnbatchedDelivery) {
 // (no tracing — DESIGN.md §11's zero-perturbation contract) must emit
 // byte-identical per-query match streams, and the registry's event
 // accounting must reconcile exactly with the StreamResult totals —
-// through the parallel fan-out at 1 and 4 threads and the sharded
-// context at 2 and 4 shards.
+// through the parallel fan-out at 1 and 4 threads.
 TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
   std::vector<QueryGraph> queries{query_};
   for (uint64_t k = 1; k <= 3; ++k) {
@@ -543,19 +434,6 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     config.obs = &obs;
     TaggedStreams run(queries.size());
     MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
-    engine.set_multi_sink(&run);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    check(res, run, obs);
-  }
-
-  for (const size_t shards : {size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    Observability obs;
-    StreamConfig config = plain;
-    config.obs = &obs;
-    TaggedStreams run(queries.size());
-    ShardedMultiQueryEngine engine(queries, schema_, shards, TcmConfig{},
-                                   /*num_threads=*/4);
     engine.set_multi_sink(&run);
     const StreamResult res = RunStream(dataset_, config, &engine);
     check(res, run, obs);
