@@ -20,27 +20,19 @@ void SharedStreamContext::Attach(ContinuousEngine* engine) {
   engines_.push_back(engine);
 }
 
-const TemporalEdge& SharedStreamContext::ApplyArrival(const TemporalEdge& ed) {
+void SharedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
   // The driver assigns dense arrival indices; honoring them (rather than
   // recounting) keeps EdgeId-keyed state identical to a full replay even
   // when a seeked replay starts mid-stream at a non-zero first id.
   const EdgeId id = g_.InsertEdgeAs(ed.id, ed.src, ed.dst, ed.ts, ed.label);
-  return g_.Edge(id);
-}
-
-TemporalEdge SharedStreamContext::CaptureExpiry(const TemporalEdge& ed) const {
-  TCSM_CHECK(ed.id < g_.NumEdgesEver() && g_.Alive(ed.id));
-  // Copy: the canonical record outlives the removal, but engines receive a
-  // stable value either way.
-  return g_.Edge(ed.id);
-}
-
-void SharedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
-  NotifyInserted(ApplyArrival(ed));
+  NotifyInserted(g_.Edge(id));
 }
 
 void SharedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
-  const TemporalEdge applied = CaptureExpiry(ed);
+  TCSM_CHECK(ed.id < g_.NumEdgesEver() && g_.Alive(ed.id));
+  // Copy: the canonical record outlives the removal, but engines receive a
+  // stable value either way.
+  const TemporalEdge applied = g_.Edge(ed.id);
   NotifyExpiring(applied);
   g_.RemoveEdge(applied.id);
   NotifyRemoved(applied);

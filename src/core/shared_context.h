@@ -55,13 +55,12 @@ class SharedStreamContext {
 
   /// Micro-batch entry points (DESIGN.md §9): `count` consecutive events
   /// of one kind sharing a timestamp, delivered together so a driver can
-  /// amortize its per-event bookkeeping and an override can amortize the
-  /// fan-out machinery. The event protocol is NOT relaxed: each edge is
-  /// applied to the graph and fanned out to every engine before the next
-  /// edge of the batch mutates anything, so the match stream is
-  /// byte-identical to `count` single-event calls by construction. The
-  /// base implementations simply loop; ParallelStreamContext overrides
-  /// them to run the whole batch as one pipelined pool job.
+  /// amortize its per-event bookkeeping. The event protocol is NOT
+  /// relaxed: each edge is applied to the graph and fanned out to every
+  /// engine before the next edge of the batch mutates anything, so the
+  /// match stream is byte-identical to `count` single-event calls by
+  /// construction. The implementations simply loop over the single-event
+  /// path, whose Notify* seam is where a parallel context fans out.
   virtual void OnEdgeArrivalBatch(const TemporalEdge* edges, size_t count);
   virtual void OnEdgeExpiryBatch(const TemporalEdge* edges, size_t count);
 
@@ -102,17 +101,6 @@ class SharedStreamContext {
   virtual void NotifyInserted(const TemporalEdge& ed);
   virtual void NotifyExpiring(const TemporalEdge& ed);
   virtual void NotifyRemoved(const TemporalEdge& ed);
-
-  /// Graph-mutation halves of the single-event entry points, exposed so
-  /// batch overrides can interleave mutations with their own fan-out
-  /// while the mutations themselves stay on the driver thread.
-  /// ApplyArrival inserts and returns the canonical record (valid until
-  /// the next mutation); CaptureExpiry validates and copies the canonical
-  /// record of a live edge; ApplyRemoval removes it (the record stays
-  /// readable through the following NotifyRemoved, see TemporalGraph).
-  const TemporalEdge& ApplyArrival(const TemporalEdge& ed);
-  TemporalEdge CaptureExpiry(const TemporalEdge& ed) const;
-  void ApplyRemoval(EdgeId id) { g_.RemoveEdge(id); }
 
   /// Cached observability handles for subclass seams; null when the run
   /// carries no bundle (the default), in which case instrumented sites

@@ -26,9 +26,13 @@ void ParallelStreamContext::SyncSinks() {
 
 void ParallelStreamContext::RunPhase(
     void (ContinuousEngine::*hook)(const TemporalEdge&),
-    const TemporalEdge& ed) {
+    const TemporalEdge& ed, const char* span_name) {
   const std::vector<ContinuousEngine*>& attached = engines();
+  const StageMetrics* const stages = stage_metrics();
   try {
+    const ScopedStage span(
+        stages != nullptr ? stages->pipeline_step_ns : nullptr,
+        trace_writer(), span_name, "pipeline");
     pool_.ParallelFor(attached.size(),
                       [&](size_t i) { (attached[i]->*hook)(ed); });
   } catch (...) {
@@ -42,110 +46,13 @@ void ParallelStreamContext::RunPhase(
     }
     throw;
   }
-}
-
-void ParallelStreamContext::DrainSinks() {
+  // Draining after every phase (after OnEdgeExpiring too, before the
+  // context removes the edge) keeps even the inter-phase sink timing
+  // identical to serial execution.
+  const ScopedStage drain(stages != nullptr ? stages->sink_drain_ns : nullptr,
+                          trace_writer(), "drain", "pipeline");
   for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
     buffer->Drain();
-  }
-}
-
-void ParallelStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,
-                                               size_t count) {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  if (!pool_.pooled() || count <= 1 || attached.empty()) {
-    SharedStreamContext::OnEdgeArrivalBatch(edges, count);
-    return;
-  }
-  SyncSinks();
-  batch_scratch_.clear();
-  batch_scratch_.reserve(count);
-  batch_scratch_.push_back(ApplyArrival(edges[0]));
-  const StageMetrics* const stages = stage_metrics();
-  TraceWriter* const trace = trace_writer();
-  // Step boundaries are only observable in the settle callback (the
-  // driver participates in the pipeline job itself), so a StepObserver
-  // closes each fan-out span there; the drain gets its own span.
-  StepObserver steps(stages != nullptr ? stages->pipeline_step_ns : nullptr,
-                     trace, "pipeline");
-  try {
-    // Step k fans edge k out to the engines; the inter-step settle drains
-    // the buffers (attach order) and applies the NEXT arrival, so its
-    // insertion is published to the step-(k+1) bodies by the step fence.
-    pool_.PipelineFor(
-        count, attached.size(),
-        [&](size_t k, size_t i) {
-          attached[i]->OnEdgeInserted(batch_scratch_[k]);
-        },
-        [&](size_t k) {
-          steps.Step("insert_fanout", "edge", k);
-          {
-            const ScopedStage drain(
-                stages != nullptr ? stages->sink_drain_ns : nullptr, trace,
-                "drain", "pipeline");
-            DrainSinks();
-          }
-          if (k + 1 < count) batch_scratch_.push_back(ApplyArrival(edges[k + 1]));
-          steps.Restart();
-        });
-  } catch (...) {
-    for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-      buffer->Discard();
-    }
-    throw;
-  }
-}
-
-void ParallelStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
-                                              size_t count) {
-  const std::vector<ContinuousEngine*>& attached = engines();
-  if (!pool_.pooled() || count <= 1 || attached.empty()) {
-    SharedStreamContext::OnEdgeExpiryBatch(edges, count);
-    return;
-  }
-  SyncSinks();
-  batch_scratch_.clear();
-  batch_scratch_.reserve(count);
-  batch_scratch_.push_back(CaptureExpiry(edges[0]));
-  const StageMetrics* const stages = stage_metrics();
-  TraceWriter* const trace = trace_writer();
-  StepObserver steps(stages != nullptr ? stages->pipeline_step_ns : nullptr,
-                     trace, "pipeline");
-  try {
-    // Two pipeline steps per edge: even steps run the expiring phase
-    // against the pre-deletion graph, whose settle drains and THEN
-    // removes the edge; odd steps run the removed phase, whose settle
-    // drains and captures the next expiring edge.
-    pool_.PipelineFor(
-        2 * count, attached.size(),
-        [&](size_t k, size_t i) {
-          if (k % 2 == 0) {
-            attached[i]->OnEdgeExpiring(batch_scratch_[k / 2]);
-          } else {
-            attached[i]->OnEdgeRemoved(batch_scratch_[k / 2]);
-          }
-        },
-        [&](size_t k) {
-          steps.Step(k % 2 == 0 ? "expiring_fanout" : "removed_fanout",
-                     "edge", k / 2);
-          {
-            const ScopedStage drain(
-                stages != nullptr ? stages->sink_drain_ns : nullptr, trace,
-                "drain", "pipeline");
-            DrainSinks();
-          }
-          if (k % 2 == 0) {
-            ApplyRemoval(batch_scratch_[k / 2].id);
-          } else if (k / 2 + 1 < count) {
-            batch_scratch_.push_back(CaptureExpiry(edges[k / 2 + 1]));
-          }
-          steps.Restart();
-        });
-  } catch (...) {
-    for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-      buffer->Discard();
-    }
-    throw;
   }
 }
 
@@ -154,15 +61,8 @@ void ParallelStreamContext::NotifyInserted(const TemporalEdge& ed) {
     SharedStreamContext::NotifyInserted(ed);
     return;
   }
-  const StageMetrics* const stages = stage_metrics();
   SyncSinks();
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr,
-        trace_writer(), "insert_fanout", "pipeline");
-    RunPhase(&ContinuousEngine::OnEdgeInserted, ed);
-  }
-  DrainSinks();
+  RunPhase(&ContinuousEngine::OnEdgeInserted, ed, "insert_fanout");
 }
 
 void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
@@ -170,17 +70,8 @@ void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
     SharedStreamContext::NotifyExpiring(ed);
     return;
   }
-  const StageMetrics* const stages = stage_metrics();
   SyncSinks();
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr,
-        trace_writer(), "expiring_fanout", "pipeline");
-    RunPhase(&ContinuousEngine::OnEdgeExpiring, ed);
-  }
-  // Draining here (before the context removes the edge) keeps even the
-  // inter-phase sink timing identical to serial execution.
-  DrainSinks();
+  RunPhase(&ContinuousEngine::OnEdgeExpiring, ed, "expiring_fanout");
 }
 
 void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
@@ -188,14 +79,7 @@ void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
     SharedStreamContext::NotifyRemoved(ed);
     return;
   }
-  const StageMetrics* const stages = stage_metrics();
-  {
-    const ScopedStage span(
-        stages != nullptr ? stages->pipeline_step_ns : nullptr,
-        trace_writer(), "removed_fanout", "pipeline");
-    RunPhase(&ContinuousEngine::OnEdgeRemoved, ed);
-  }
-  DrainSinks();
+  RunPhase(&ContinuousEngine::OnEdgeRemoved, ed, "removed_fanout");
 }
 
 }  // namespace tcsm

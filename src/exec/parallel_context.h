@@ -4,10 +4,11 @@
 // fan-out runs on a worker pool instead of a loop: the graph mutation for
 // an event is still applied exactly once on the driver thread (the
 // two-phase expiry protocol of DESIGN.md §3 is unchanged), and then the
-// per-engine OnEdgeInserted / OnEdgeExpiring / OnEdgeRemoved work — which
-// PR 2 made embarrassingly parallel by turning engines into read-only
-// views of a const graph — is sharded dynamically across the pool, with a
-// full barrier at the end of each phase. In particular the barrier
+// per-engine OnEdgeInserted / OnEdgeExpiring / OnEdgeRemoved work —
+// embarrassingly parallel because engines are read-only views of a const
+// graph — is spread across the pool (each participant keeps its home
+// slice of the engines and steals when it runs dry), with a full barrier
+// at the end of each phase. In particular the barrier
 // between OnEdgeExpiring and the graph removal guarantees every engine
 // enumerated its dying embeddings against the pre-deletion state before
 // the edge disappears.
@@ -40,18 +41,6 @@ class ParallelStreamContext : public SharedStreamContext {
   /// thread; 1 means the serial bypass.
   size_t num_threads() const override { return pool_.num_threads(); }
 
-  /// Micro-batch overrides (DESIGN.md §9): a batch of same-timestamp
-  /// events runs as ONE pipelined pool job (ThreadPool::PipelineFor)
-  /// instead of one-to-three condition-variable barriers per event. The
-  /// event protocol is unchanged — each edge is applied on the driver
-  /// thread, fanned out, and its buffers drained in attach order before
-  /// the next edge of the batch mutates the graph — so the match stream
-  /// stays byte-identical to serial execution. The one sanctioned
-  /// deviation: sinks are re-synced once per batch rather than once per
-  /// event (the batch boundary is the sink re-sync point).
-  void OnEdgeArrivalBatch(const TemporalEdge* edges, size_t count) override;
-  void OnEdgeExpiryBatch(const TemporalEdge* edges, size_t count) override;
-
  protected:
   void NotifyInserted(const TemporalEdge& ed) override;
   void NotifyExpiring(const TemporalEdge& ed) override;
@@ -62,19 +51,15 @@ class ParallelStreamContext : public SharedStreamContext {
   /// sink. Runs on the driver thread before each event's fan-out, so
   /// engines attached or re-sinked between events are picked up.
   void SyncSinks();
-  /// Runs `hook` on every attached engine across the pool and blocks
-  /// until all of them finished (the phase barrier).
+  /// Runs `hook` on every attached engine across the pool, blocks until
+  /// all of them finished (the phase barrier), then drains the per-engine
+  /// buffers in attach order (serial match order). With metrics on, the
+  /// fan-out is timed as a `span_name` stage and the drain as `drain`.
   void RunPhase(void (ContinuousEngine::*hook)(const TemporalEdge&),
-                const TemporalEdge& ed);
-  /// Drains the per-engine buffers in attach order (serial match order).
-  void DrainSinks();
+                const TemporalEdge& ed, const char* span_name);
 
   ThreadPool pool_;
   std::vector<std::unique_ptr<BufferedMatchSink>> buffers_;
-  /// Canonical edge records of the in-flight batch. Reserved up front so
-  /// the driver's settle-phase push_back never reallocates under the
-  /// workers' concurrent reads of earlier elements.
-  std::vector<TemporalEdge> batch_scratch_;
 };
 
 }  // namespace tcsm

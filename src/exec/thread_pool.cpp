@@ -1,125 +1,135 @@
 #include "exec/thread_pool.h"
 
-#include <chrono>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace tcsm {
 
 namespace {
 
-/// Step-fence wait: brief spin, then yield, then sleep. The pipeline
-/// fences are expected to resolve in microseconds, but on an
-/// oversubscribed machine (more participants than cores) a pure spin
-/// would starve the very thread being waited on.
-inline void PipelineBackoff(uint32_t* spins) {
-  const uint32_t s = ++*spins;
-  if (s < 64) return;
-  if (s < 4096) {
-    std::this_thread::yield();
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds(50));
+/// How long an idle worker spins for the next job before it parks. The
+/// driver's work between two fan-out phases (graph mutation, sink drain)
+/// takes microseconds, so a spinning worker usually catches the next phase
+/// without a futex wake-up.
+constexpr std::chrono::microseconds kIdleSpin{100};
+/// How long the caller spins for the stragglers of a job before it parks.
+constexpr std::chrono::microseconds kDrainSpin{1000};
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+// Layout of ThreadPool::job_: the count of workers inside the job in the
+// low 16 bits, the closed flag above it, the job id in the rest.
+constexpr uint32_t kActiveMask = (uint32_t{1} << 16) - 1;
+constexpr uint32_t kClosed = uint32_t{1} << 16;
+constexpr int kIdShift = 17;
+
+uint32_t NextJobId(uint32_t word) { return ((word >> kIdShift) + 1) << kIdShift; }
+
+bool FitsOnCores(size_t num_threads) {
+  const unsigned cores = std::thread::hardware_concurrency();
+  return cores != 0 && num_threads <= cores;
 }
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads)
+    : spin_(FitsOnCores(num_threads)),
+      slices_(num_threads > 1 ? num_threads : 0) {
   if (num_threads <= 1) return;
+  TCSM_CHECK(num_threads - 1 <= kActiveMask);
   workers_.reserve(num_threads - 1);
   try {
-    for (size_t t = 0; t + 1 < num_threads; ++t) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+    for (size_t t = 1; t < num_threads; ++t) {
+      workers_.emplace_back([this, t] { WorkerLoop(t); });
     }
   } catch (...) {
     // Thread exhaustion (std::system_error): shut down the workers that
     // did start, then surface the error as a catchable exception instead
     // of letting ~vector terminate on joinable threads.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
+    Shutdown();
     throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
+ThreadPool::~ThreadPool() { Shutdown(); }
+
+void ThreadPool::Shutdown() {
+  stop_.store(true, std::memory_order_relaxed);
+  job_.store(NextJobId(job_.load()) | kClosed);
+  job_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::RunShard(const std::function<void(size_t)>& body, size_t n) {
-  for (;;) {
-    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
-    try {
-      body(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-      // Cancel the indices nobody claimed yet; shards already running
-      // finish their current body first (the barrier still holds).
-      next_.store(n, std::memory_order_relaxed);
-    }
+template <typename Pred>
+uint32_t ThreadPool::AwaitJob(Pred ok, std::chrono::nanoseconds spin) const {
+  uint32_t word = job_.load(std::memory_order_acquire);
+  if (ok(word)) return word;
+  if (spin_) {
+    const auto deadline = std::chrono::steady_clock::now() + spin;
+    do {
+      for (int i = 0; i < 64; ++i) {
+        CpuRelax();
+        word = job_.load(std::memory_order_acquire);
+        if (ok(word)) return word;
+      }
+    } while (std::chrono::steady_clock::now() < deadline);
   }
+  while (!ok(word)) {
+    job_.wait(word, std::memory_order_acquire);
+    word = job_.load(std::memory_order_acquire);
+  }
+  return word;
 }
 
-void ThreadPool::RunPipelineShard(
-    const std::function<void(size_t, size_t)>& body, size_t steps, size_t n) {
-  for (size_t k = 0; k < steps; ++k) {
-    uint32_t spins = 0;
-    while (pipe_open_.load(std::memory_order_acquire) <= k) {
-      PipelineBackoff(&spins);
-    }
-    for (;;) {
-      const size_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= (k + 1) * n) break;
-      if (pipe_abort_.load(std::memory_order_relaxed)) continue;
+void ThreadPool::RunShard(size_t self) {
+  const size_t participants = slices_.size();
+  for (size_t k = 0; k < participants; ++k) {
+    Slice& slice = slices_[(self + k) % participants];  // k = 0: home
+    // Load before claiming: an exhausted victim costs a shared read, not
+    // a read-modify-write that pulls its cache line away from its owner.
+    while (slice.next.load(std::memory_order_relaxed) < slice.end) {
+      const size_t i = slice.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= slice.end) break;
       try {
-        body(k, idx - k * n);
+        (*body_)(i);
       } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        pipe_abort_.store(true, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(error_mu_);
+        if (!first_error_) first_error_ = std::current_exception();
+        // Cancel the indices nobody claimed yet; bodies already running
+        // finish first (the barrier still holds).
+        for (Slice& s : slices_) s.next.store(s.end, std::memory_order_relaxed);
       }
     }
-    pipe_arrived_.fetch_add(1, std::memory_order_release);
   }
 }
 
-void ThreadPool::WorkerLoop() {
-  uint64_t seen = 0;
+void ThreadPool::WorkerLoop(size_t self) {
+  uint32_t seen = 0;  // id of the last job this worker looked at
   for (;;) {
-    const std::function<void(size_t)>* body = nullptr;
-    const std::function<void(size_t, size_t)>* pipe_body = nullptr;
-    size_t n = 0;
-    size_t steps = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      body = body_;
-      pipe_body = pipe_body_;
-      n = job_n_;
-      steps = pipe_steps_;
+    uint32_t word =
+        AwaitJob([&](uint32_t w) { return w >> kIdShift != seen; }, kIdleSpin);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    // Join the job unless the caller has closed it already.
+    seen = word >> kIdShift;
+    bool joined = false;
+    while ((word & kClosed) == 0 && !joined) {
+      joined = job_.compare_exchange_weak(word, word + 1,
+                                          std::memory_order_acquire);
+      if (word >> kIdShift != seen) break;  // moved on to a newer job
     }
-    if (pipe_body != nullptr) {
-      RunPipelineShard(*pipe_body, steps, n);
-    } else {
-      RunShard(*body, n);
+    if (!joined) continue;
+    RunShard(self);
+    // The last worker out of a closed job wakes the caller if it parked.
+    if ((job_.fetch_sub(1) & (kClosed | kActiveMask)) == (kClosed | 1)) {
+      job_.notify_all();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_workers_;
-    }
-    done_cv_.notify_one();
   }
 }
 
@@ -133,106 +143,22 @@ void ThreadPool::ParallelFor(size_t n,
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    body_ = &body;
-    pipe_body_ = nullptr;
-    job_n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    first_error_ = nullptr;
-    active_workers_ = workers_.size();
-    ++generation_;
+  const size_t participants = slices_.size();
+  for (size_t p = 0; p < participants; ++p) {
+    slices_[p].next.store(p * n / participants, std::memory_order_relaxed);
+    slices_[p].end = (p + 1) * n / participants;
   }
-  work_cv_.notify_all();
-  RunShard(body, n);  // the caller thread claims indices too
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return active_workers_ == 0; });
+  body_ = &body;
+  first_error_ = nullptr;
+  job_.store(NextJobId(job_.load(std::memory_order_relaxed)));  // open
+  job_.notify_all();
+  RunShard(0);  // the caller thread claims indices too
+  // Every index is claimed: close the job to latecomers and wait for the
+  // workers still inside it.
+  job_.fetch_or(kClosed);
+  AwaitJob([](uint32_t w) { return (w & kActiveMask) == 0; }, kDrainSpin);
   body_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::PipelineFor(size_t steps, size_t n,
-                             const std::function<void(size_t, size_t)>& body,
-                             const std::function<void(size_t)>& settle) {
-  if (steps == 0) return;
-  if (workers_.empty() || n <= 1) {
-    // Inline bypass: no workers, or nothing to fan out per step.
-    for (size_t k = 0; k < steps; ++k) {
-      for (size_t i = 0; i < n; ++i) body(k, i);
-      settle(k);
-    }
-    return;
-  }
-  const size_t participants = workers_.size() + 1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    body_ = nullptr;
-    pipe_body_ = &body;
-    pipe_steps_ = steps;
-    job_n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    pipe_arrived_.store(0, std::memory_order_relaxed);
-    pipe_abort_.store(false, std::memory_order_relaxed);
-    first_error_ = nullptr;
-    active_workers_ = workers_.size();
-    ++generation_;
-    pipe_open_.store(1, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-  for (size_t k = 0; k < steps; ++k) {
-    // Claim step-k indices alongside the workers.
-    for (;;) {
-      const size_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= (k + 1) * n) break;
-      if (pipe_abort_.load(std::memory_order_relaxed)) continue;
-      try {
-        body(k, idx - k * n);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        pipe_abort_.store(true, std::memory_order_relaxed);
-      }
-    }
-    pipe_arrived_.fetch_add(1, std::memory_order_release);
-    // Step fence: every participant has drained its step-k claims (their
-    // release arrivals make the body effects visible here).
-    uint32_t spins = 0;
-    while (pipe_arrived_.load(std::memory_order_acquire) <
-           participants * (k + 1)) {
-      PipelineBackoff(&spins);
-    }
-    if (!pipe_abort_.load(std::memory_order_relaxed)) {
-      try {
-        settle(k);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-        pipe_abort_.store(true, std::memory_order_relaxed);
-      }
-    }
-    if (k + 1 < steps) {
-      // Reset the claim counter to the next slice (safe: no participant
-      // touches next_ between its step-k arrival and step k+1 opening),
-      // then open step k+1; the release publishes settle(k)'s effects.
-      next_.store((k + 1) * n, std::memory_order_relaxed);
-      pipe_open_.store(k + 2, std::memory_order_release);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return active_workers_ == 0; });
-  pipe_body_ = nullptr;
-  pipe_open_.store(0, std::memory_order_relaxed);
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, nullptr));
 }
 
 }  // namespace tcsm

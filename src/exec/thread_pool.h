@@ -1,9 +1,18 @@
 // Persistent worker pool for the parallel execution subsystem. One pool
 // is created per ParallelStreamContext and reused across every stream
-// event, so the per-event cost is a wake-up + barrier, not thread
-// creation. The only primitive is a blocking ParallelFor: fan a loop body
+// event, so the per-phase cost is a hand-off + barrier, not thread
+// creation. The one primitive is a blocking ParallelFor: fan a loop body
 // out over the workers plus the calling thread, wait for every claimed
-// index to finish, and rethrow the first exception on the caller. With
+// index to finish, and rethrow the first exception on the caller.
+//
+// Dispatch (DESIGN.md §6): the caller publishes a job with a release
+// store of a new job id into one atomic word, workers join it by
+// incrementing that word's count and leave by decrementing it, and the
+// caller acquires a zero count — a phase needs no mutex. Each participant
+// owns a contiguous home slice of the index range — the same engines on
+// the same thread phase after phase — drains it, then steals from the
+// others. Between jobs, workers spin briefly before parking in an atomic
+// wait; when the participants outnumber the cores nobody spins. With
 // `num_threads <= 1` no workers are spawned at all and ParallelFor runs
 // the body inline on the caller thread (the serial fast path — contexts
 // constructed with one thread behave exactly like serial code).
@@ -11,7 +20,7 @@
 #define TCSM_EXEC_THREAD_POOL_H_
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -38,80 +47,69 @@ class ThreadPool {
   /// True when worker threads exist; false in the inline bypass mode.
   bool pooled() const { return !workers_.empty(); }
 
-  /// Runs body(0) ... body(n-1), indices claimed dynamically by the
-  /// workers and the calling thread, and returns once every claimed index
-  /// has completed (a full completion barrier — no body is still running
-  /// when this returns). If a body throws, indices not yet claimed may be
-  /// skipped and the first exception is rethrown to the caller after the
-  /// barrier. Without workers — and for single-index jobs, where waking
-  /// the pool buys nothing — the loop runs inline on the caller thread
-  /// (exceptions then propagate directly). Not reentrant: a body must not
-  /// call ParallelFor on the same pool.
+  /// Runs body(0) ... body(n-1) on the calling thread and the workers
+  /// that join in time, and returns once every claimed index has completed
+  /// (a full completion barrier — no body is still running when this
+  /// returns). Participant p of P claims its home slice [p*n/P,
+  /// (p+1)*n/P) first, the caller being participant 0, then steals
+  /// unclaimed indices from the other slices. A worker that is not
+  /// running when the job opens cannot hold it up: once every index is
+  /// claimed the job closes, and a latecomer skips it.
+  /// If a body throws, indices not yet claimed may be skipped and the
+  /// first exception is rethrown to the caller after the barrier. Without
+  /// workers — and for single-index jobs, where waking the pool buys
+  /// nothing — the loop runs inline on the caller thread (exceptions then
+  /// propagate directly). Not reentrant: a body must not call ParallelFor
+  /// on the same pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  /// Runs a `steps`-deep pipeline as ONE pool job: for every step k in
-  /// order, body(k, 0) ... body(k, n-1) are claimed dynamically by the
-  /// workers and the caller; once every participant finished its step-k
-  /// claims, the caller alone runs settle(k), and only then does step k+1
-  /// open. Equivalent to `steps` ParallelFor calls with settle(k) between
-  /// them, but with a single pool wake-up and lightweight (spin/yield)
-  /// step fences instead of a condition-variable barrier per step — the
-  /// per-event fan-out cost that micro-batching amortizes (DESIGN.md §9).
-  ///
-  /// Ordering guarantees: all body(k, ·) effects are visible to settle(k),
-  /// and all settle(k) effects are visible to every body(k+1, ·). If a
-  /// body or settle throws, the remaining bodies and settles are skipped
-  /// (steps still drain) and the first exception is rethrown after the
-  /// job completes. Without workers — or with n <= 1, where there is
-  /// nothing to fan out — the pipeline runs inline on the caller with
-  /// direct exception propagation. Not reentrant.
-  void PipelineFor(size_t steps, size_t n,
-                   const std::function<void(size_t, size_t)>& body,
-                   const std::function<void(size_t)>& settle);
-
  private:
-  void WorkerLoop();
-  /// Claims and runs indices until the job is exhausted; captures the
-  /// first exception and cancels the remaining indices.
-  void RunShard(const std::function<void(size_t)>& body, size_t n);
-  /// Worker half of PipelineFor: per step, wait for the step to open,
-  /// claim indices from the step's slice of next_, then arrive.
-  void RunPipelineShard(const std::function<void(size_t, size_t)>& body,
-                        size_t steps, size_t n);
+  /// One participant's claim cursor over its home slice [next, end),
+  /// alone on its cache line so claims on different slices never contend.
+  struct alignas(64) Slice {
+    std::atomic<size_t> next{0};
+    size_t end = 0;
+  };
 
-  std::vector<std::thread> workers_;
+  void WorkerLoop(size_t self);
+  /// Drains participant `self`'s home slice, then steals from the other
+  /// slices until every index of the job is claimed; captures the first
+  /// exception and cancels the unclaimed indices.
+  void RunShard(size_t self);
+  /// Waits until `ok(job word)` holds and returns that word: spins with a
+  /// CPU pause for up to `spin` (not at all when oversubscribed), then
+  /// parks in an atomic wait on the job word.
+  template <typename Pred>
+  uint32_t AwaitJob(Pred ok, std::chrono::nanoseconds spin) const;
+  /// Wakes every worker and joins them.
+  void Shutdown();
 
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // new job posted, or stopping
-  std::condition_variable done_cv_;  // a worker finished its shard
-  // Guarded by mu_: the current job, its generation stamp, and how many
-  // workers still have to finish their shard of it.
+  /// Spin before parking only when every participant can have a core.
+  const bool spin_;
+
+  // The current job. Written by the caller only while no worker is inside
+  // a job (before the job opens, after its count drops to zero), read by
+  // the workers that joined it.
   const std::function<void(size_t)>* body_ = nullptr;
-  size_t job_n_ = 0;
-  uint64_t generation_ = 0;
-  size_t active_workers_ = 0;
-  std::exception_ptr first_error_;
-  bool stop_ = false;
+  std::vector<Slice> slices_;  // one per participant; [0] is the caller's
+  std::mutex error_mu_;
+  std::exception_ptr first_error_;  // guarded by error_mu_ while a job runs
 
-  // Pipelined job state (PipelineFor). pipe_body_ doubles as the job-kind
-  // dispatch in WorkerLoop; at most one of body_/pipe_body_ is non-null.
-  const std::function<void(size_t, size_t)>* pipe_body_ = nullptr;
-  size_t pipe_steps_ = 0;
-  /// Step k's bodies may run once pipe_open_ > k (release-published by
-  /// the caller after settle(k-1), so settle effects are visible).
-  std::atomic<size_t> pipe_open_{0};
-  /// Total step arrivals; step k is fully drained once this reaches
-  /// participants * (k + 1) (release-published by each participant after
-  /// its last step-k body, so body effects are visible to settle).
-  std::atomic<size_t> pipe_arrived_{0};
-  /// Set on the first exception: remaining bodies/settles are skipped
-  /// while the steps still drain, so every participant exits cleanly.
-  std::atomic<bool> pipe_abort_{false};
+  /// The job word: job id in the high bits, then a closed flag, then the
+  /// number of workers inside the job. The caller opens a job with one
+  /// release store of a new id; a worker joins by a CAS that increments
+  /// the count while the job is open and leaves with a release decrement;
+  /// the caller closes the job once every index is claimed and acquires a
+  /// zero count. A worker that comes late finds the job closed and skips
+  /// it, so no job waits for a worker that is not running. Parked threads
+  /// sleep in an atomic wait on this word. 32 bits, so the wait is a
+  /// futex on the word itself; the id wraps, which can at worst let a
+  /// worker sleep through a job that then runs without it.
+  alignas(64) std::atomic<uint32_t> job_{0};
+  std::atomic<bool> stop_{false};
 
-  /// Next unclaimed loop index of the current job. PipelineFor slices it
-  /// per step: step k claims from [k*n, (k+1)*n), and the caller resets
-  /// the counter to the next slice's base once the step has drained.
-  std::atomic<size_t> next_{0};
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tcsm

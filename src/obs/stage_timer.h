@@ -71,42 +71,6 @@ class ScopedStage {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Driver-side bookkeeping for pipelined batch fan-out, where step
-/// boundaries are only observable inside PipelineFor settle callbacks:
-/// each Step() closes the span opened by the previous Step()/Restart()
-/// and records it; Restart() reopens the clock after settle-side work so
-/// drain/apply time is not billed to the next step.
-class StepObserver {
- public:
-  StepObserver(Histogram* hist, TraceWriter* trace, const char* cat)
-      : hist_(hist), trace_(trace), cat_(cat) {
-    if (active()) last_ = std::chrono::steady_clock::now();
-  }
-
-  bool active() const { return hist_ != nullptr || trace_ != nullptr; }
-
-  void Step(const char* name, const char* arg_key, uint64_t arg_value) {
-    if (!active()) return;
-    const auto now = std::chrono::steady_clock::now();
-    const uint64_t dur = obs_internal::DurationNs(last_, now);
-    if (hist_ != nullptr) hist_->Observe(dur);
-    if (trace_ != nullptr) {
-      trace_->Emit(name, cat_, trace_->ToNs(last_), dur, arg_key, arg_value);
-    }
-    last_ = now;
-  }
-
-  void Restart() {
-    if (active()) last_ = std::chrono::steady_clock::now();
-  }
-
- private:
-  Histogram* const hist_;
-  TraceWriter* const trace_;
-  const char* const cat_;
-  std::chrono::steady_clock::time_point last_;
-};
-
 }  // namespace tcsm
 
 #endif  // TCSM_OBS_STAGE_TIMER_H_

@@ -202,9 +202,6 @@ TEST(StageTimerTest, NullHandlesAreFreeNoOps) {
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     const ScopedStage span(nullptr, nullptr, "x", "y", "k", 1);
-    StepObserver steps(nullptr, nullptr, "cat");
-    steps.Step("s", "k", 2);
-    steps.Restart();
   }
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "disabled stage timers allocated";
@@ -219,17 +216,6 @@ TEST(StageTimerTest, ScopedStageRecordsIntoHistogramAndTrace) {
   }
   EXPECT_EQ(h.TotalCount(), 1u);
   EXPECT_EQ(trace.NumSpans(), 1u);
-}
-
-TEST(StageTimerTest, StepObserverClosesOneSpanPerStep) {
-  Histogram h(LatencyBoundsNs());
-  TraceWriter trace;
-  StepObserver steps(&h, &trace, "pipeline");
-  steps.Step("insert_fanout", "edge", 0);
-  steps.Restart();
-  steps.Step("insert_fanout", "edge", 1);
-  EXPECT_EQ(h.TotalCount(), 2u);
-  EXPECT_EQ(trace.NumSpans(), 2u);
 }
 
 TEST(TraceWriterTest, SpansFromPoolThreadsGetDistinctNamedTracks) {

@@ -240,17 +240,19 @@ TEST_P(StreamFuzz, MultiQueryMatchesSingleQueryEngines) {
 // must match too: every engine performs the same reads whichever worker
 // runs it, not merely the same final embedding sets.
 TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
-  // A 4-query set: the primary plus three independent walk variants
+  // Query sets of 4 and 16: the primary plus independent walk variants
   // (falling back to earlier queries where the dataset yields no new
-  // walk), so the shards are non-trivial at every thread count.
-  std::vector<QueryGraph> queries{query_};
-  for (uint64_t k = 1; k <= 3; ++k) {
+  // walk). With 4 engines every home slice of the pool holds at most one
+  // at 4/8 threads; with 16 each slice holds several, so claims within a
+  // slice and steals across slices both run.
+  std::vector<QueryGraph> all_queries{query_};
+  for (uint64_t k = 1; k < 16; ++k) {
     QueryGraph variant;
     Rng rng(GetParam().seed ^ (0x517cc1b727220a95ull * k));
     if (GenerateQuery(dataset_, GetParam().query, &rng, &variant)) {
-      queries.push_back(variant);
+      all_queries.push_back(variant);
     } else {
-      queries.push_back(queries[k - 1]);
+      all_queries.push_back(all_queries[k - 1]);
     }
   }
 
@@ -274,44 +276,49 @@ TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
   StreamConfig config;
   config.window = GetParam().window;
 
-  TaggedStreams serial(queries.size());
-  StreamResult serial_res;
-  {
-    MultiQueryEngine engine(queries, schema_);
-    engine.set_multi_sink(&serial);
-    serial_res = RunStream(dataset_, config, &engine);
-    ASSERT_TRUE(serial_res.completed);
-    ASSERT_EQ(serial_res.num_threads, 1u);
-  }
-
-  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    TaggedStreams parallel(queries.size());
-    MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
-    engine.set_multi_sink(&parallel);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    ASSERT_TRUE(res.completed);
-    EXPECT_EQ(res.num_threads, threads);
-    EXPECT_EQ(res.occurred + res.expired,
-              serial_res.occurred + serial_res.expired);
-    EXPECT_EQ(res.adj_entries_scanned, serial_res.adj_entries_scanned)
-        << "parallel execution scanned different adjacency entries";
-    EXPECT_EQ(res.adj_entries_matched, serial_res.adj_entries_matched);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      EXPECT_EQ(parallel.streams[qi], serial.streams[qi])
-          << "per-query stream of query " << qi
-          << " diverged from serial execution";
+  for (const size_t num_queries : {size_t{4}, size_t{16}}) {
+    SCOPED_TRACE("queries " + std::to_string(num_queries));
+    const std::vector<QueryGraph> queries(all_queries.begin(),
+                                          all_queries.begin() + num_queries);
+    TaggedStreams serial(queries.size());
+    StreamResult serial_res;
+    {
+      MultiQueryEngine engine(queries, schema_);
+      engine.set_multi_sink(&serial);
+      serial_res = RunStream(dataset_, config, &engine);
+      ASSERT_TRUE(serial_res.completed);
+      ASSERT_EQ(serial_res.num_threads, 1u);
     }
-    EXPECT_EQ(parallel.global, serial.global)
-        << "global match interleaving diverged from serial execution";
+
+    for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      TaggedStreams parallel(queries.size());
+      MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
+      engine.set_multi_sink(&parallel);
+      const StreamResult res = RunStream(dataset_, config, &engine);
+      ASSERT_TRUE(res.completed);
+      EXPECT_EQ(res.num_threads, threads);
+      EXPECT_EQ(res.occurred + res.expired,
+                serial_res.occurred + serial_res.expired);
+      EXPECT_EQ(res.adj_entries_scanned, serial_res.adj_entries_scanned)
+          << "parallel execution scanned different adjacency entries";
+      EXPECT_EQ(res.adj_entries_matched, serial_res.adj_entries_matched);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        EXPECT_EQ(parallel.streams[qi], serial.streams[qi])
+            << "per-query stream of query " << qi
+            << " diverged from serial execution";
+      }
+      EXPECT_EQ(parallel.global, serial.global)
+          << "global match interleaving diverged from serial execution";
+    }
   }
 }
 
 // Batching differential: driving the same 4-query fan-out with
 // micro-batching disabled (max_batch = 1, the historical one-call-per-
 // event behavior) and with the default batching must emit byte-identical
-// per-query match streams, serially and through the pipelined parallel
-// fan-out (DESIGN.md §9). On the same_ts_* scenarios the batches are
+// per-query match streams, serially and through the parallel fan-out
+// (DESIGN.md §9). On the same_ts_* scenarios the batches are
 // real; elsewhere this degenerates to the single-event path.
 TEST_P(StreamFuzz, BatchedMatchesUnbatchedDelivery) {
   std::vector<QueryGraph> queries{query_};
@@ -437,6 +444,20 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     engine.set_multi_sink(&run);
     const StreamResult res = RunStream(dataset_, config, &engine);
     check(res, run, obs);
+    // The parallel context times every fan-out phase (one per arrival,
+    // two per expiration) and the sink drain after it; serially neither
+    // stage runs.
+    const MetricsSnapshot snap = obs.Snapshot();
+    const uint64_t phases =
+        threads > 1 ? snap.CounterValue("stream.arrivals") +
+                          2 * snap.CounterValue("stream.expirations")
+                    : 0;
+    for (const char* stage :
+         {"stage.pipeline_step_ns", "stage.sink_drain_ns"}) {
+      const HistogramSnapshot* hist = snap.FindHistogram(stage);
+      ASSERT_NE(hist, nullptr) << stage;
+      EXPECT_EQ(hist->count, phases) << stage;
+    }
   }
 }
 

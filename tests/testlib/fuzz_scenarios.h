@@ -73,7 +73,7 @@ inline std::vector<FuzzScenario> DefaultFuzzScenarios() {
   add("slot_churn",         112,  12, 150,  3, 2, 2.0, 0.8, false, 3, 0.50, 8);
   // Micro-batching stressors (DESIGN.md §9): runs of arrivals share one
   // timestamp, so the coalesced OnEdgeArrivalBatch / OnEdgeExpiryBatch
-  // paths — and through them the pipelined fan-out — are exercised by
+  // paths — and through them the parallel fan-out — are exercised by
   // every differential test in the catalogue. Windows are sized in the
   // coalesced timestamp unit (|E| / ts_coalesce distinct instants).
   add("same_ts_bursts",     113,  14, 120,  3, 2, 2.0, 0.8, false, 4, 0.50, 10);

@@ -1,16 +1,20 @@
 // Unit tests for the exec/ worker pool: lifecycle, the ParallelFor
-// completion barrier, exception propagation to the submitting thread, and
-// the single-thread bypass (no workers, body inline on the caller).
+// completion barrier, exception propagation to the submitting thread, the
+// single-thread bypass (no workers, body inline on the caller), the parked
+// hand-off of an oversubscribed pool, work stealing across home slices,
+// and parking when idle.
 #include "exec/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace tcsm {
@@ -111,98 +115,70 @@ TEST(ThreadPoolTest, EmptyJobIsANoOp) {
   EXPECT_FALSE(touched);
 }
 
-TEST(ThreadPoolTest, PipelineForRunsEveryStepIndexOnceInStepOrder) {
-  ThreadPool pool(4);
-  const size_t steps = 37;
-  const size_t n = 11;
-  std::vector<std::atomic<int>> hits(steps * n);
-  // settle_seen[k] is read by the step-(k+1) bodies: PipelineFor promises
-  // settle(k) completed — and is visible — before any of them start.
-  std::vector<std::atomic<int>> settle_seen(steps + 1);
-  settle_seen[0].store(1);
-  pool.PipelineFor(
-      steps, n,
-      [&](size_t k, size_t i) {
-        EXPECT_EQ(settle_seen[k].load(), 1) << "step " << k << " opened "
-                                            << "before settle(k-1)";
-        hits[k * n + i].fetch_add(1);
-      },
-      [&](size_t k) {
-        // All of step k's bodies must be complete here.
-        for (size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(hits[k * n + i].load(), 1) << "step " << k << " index "
-                                               << i;
-        }
-        settle_seen[k + 1].store(1);
-      });
-  for (size_t j = 0; j < steps * n; ++j) EXPECT_EQ(hits[j].load(), 1);
-  EXPECT_EQ(settle_seen[steps].load(), 1);
-  // The pool is reusable afterwards, for both job kinds.
-  std::atomic<size_t> after{0};
-  pool.ParallelFor(50, [&](size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 50u);
-  pool.PipelineFor(2, 4, [&](size_t, size_t) { after.fetch_add(1); },
-                   [](size_t) {});
-  EXPECT_EQ(after.load(), 58u);
+TEST(ThreadPoolTest, OversubscribedPoolRunsTinyJobsExactlyOnce) {
+  // Twice as many participants as cores: the pool must park instead of
+  // spinning, and every hand-off must still deliver each index once.
+  const size_t cores = std::max<unsigned>(1, std::thread::hardware_concurrency());
+  ThreadPool pool(2 * cores);
+  const size_t max_n = 3 * pool.num_threads();
+  std::vector<std::atomic<int>> hits(max_n);
+  for (size_t job = 0; job < 10000; ++job) {
+    const size_t n = 2 + job % (max_n - 1);
+    pool.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].exchange(0), 1) << "job " << job << " index " << i;
+    }
+  }
 }
 
-TEST(ThreadPoolTest, PipelineForBodyExceptionSkipsRemainingSettles) {
+TEST(ThreadPoolTest, IdleParticipantsStealFromABlockedHomeSlice) {
+  // Body 0 sits in the caller's home slice and blocks until every other
+  // index has run, so the rest of that slice must be stolen by workers.
   ThreadPool pool(4);
-  std::atomic<size_t> settled{0};
-  std::atomic<size_t> bodies{0};
-  EXPECT_THROW(pool.PipelineFor(8, 6,
-                                [&](size_t k, size_t) {
-                                  if (k == 2) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                  bodies.fetch_add(1);
-                                },
-                                [&](size_t) { settled.fetch_add(1); }),
-               std::runtime_error);
-  // Steps 0 and 1 settled; the failing step and everything after are
-  // abandoned (bodies may be skipped, settles must be).
-  EXPECT_EQ(settled.load(), 2u);
-  std::atomic<size_t> after{0};
-  pool.ParallelFor(10, [&](size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 10u);
+  const size_t n = 4 * pool.num_threads();
+  std::atomic<size_t> others{0};
+  std::atomic<bool> timed_out{false};
+  pool.ParallelFor(n, [&](size_t i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (others.load() < n - 1) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_FALSE(timed_out.load()) << "only " << others.load() << " of "
+                                 << n - 1 << " other indices ran";
+  EXPECT_EQ(others.load(), n - 1);
 }
 
-TEST(ThreadPoolTest, PipelineForSettleExceptionPropagates) {
-  ThreadPool pool(4);
-  std::atomic<size_t> settled{0};
-  EXPECT_THROW(pool.PipelineFor(5, 3, [&](size_t, size_t) {},
-                                [&](size_t k) {
-                                  if (k == 1) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                  settled.fetch_add(1);
-                                }),
-               std::runtime_error);
-  EXPECT_EQ(settled.load(), 1u);
-}
-
-TEST(ThreadPoolTest, PipelineForInlineBypass) {
-  // No workers: the pipeline runs inline on the caller, steps strictly in
-  // order, exceptions propagating directly.
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::pair<size_t, size_t>> order;
-  pool.PipelineFor(3, 2,
-                   [&](size_t k, size_t i) {
-                     EXPECT_EQ(std::this_thread::get_id(), caller);
-                     order.emplace_back(k, i);
-                   },
-                   [&](size_t k) { order.emplace_back(k, size_t{99}); });
-  const std::vector<std::pair<size_t, size_t>> want{
-      {0, 0}, {0, 1}, {0, 99}, {1, 0}, {1, 1}, {1, 99},
-      {2, 0}, {2, 1}, {2, 99}};
-  EXPECT_EQ(order, want);
-  // n <= 1 takes the same inline path even on a pooled pool.
-  ThreadPool pooled(4);
-  size_t ran = 0;
-  pooled.PipelineFor(4, 1, [&](size_t, size_t) { ++ran; },
-                     [&](size_t) { ++ran; });
-  EXPECT_EQ(ran, 8u);
+TEST(ThreadPoolTest, IdlePoolParks) {
+  // After a job, spinning workers must give up and park: 300 ms of
+  // idleness may cost the process only a fraction of one core.
+  const size_t cores = std::max<unsigned>(1, std::thread::hardware_concurrency());
+  ThreadPool pool(std::clamp<size_t>(cores, 2, 4));
+  std::atomic<size_t> ran{0};
+  pool.ParallelFor(64, [&](size_t) { ran.fetch_add(1); });
+  ASSERT_EQ(ran.load(), 64u);
+  const auto cpu_ns = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto ns = [](const timeval& t) {
+      return int64_t{t.tv_sec} * 1000000000 + int64_t{t.tv_usec} * 1000;
+    };
+    return ns(usage.ru_utime) + ns(usage.ru_stime);
+  };
+  const int64_t before = cpu_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const int64_t used = cpu_ns() - before;
+  EXPECT_LT(used, 75000000) << "idle pool burned " << used / 1000000
+                            << " ms of CPU in 300 ms";
 }
 
 }  // namespace
