@@ -237,15 +237,36 @@ size_t MaxMinIndex::NumEntries() const {
   return n;
 }
 
+size_t MaxMinIndex::EntryVectorBytes(VertexId u) const {
+  return (dag_->TrackedLater(u).size() + dag_->TrackedEarlier(u).size()) *
+             sizeof(Timestamp) +
+         2 * sizeof(std::vector<Timestamp>);
+}
+
 size_t MaxMinIndex::EstimateMemoryBytes() const {
+  // Closed form: ComputeEntry sizes every entry of u to exactly
+  // TrackedLater(u)/TrackedEarlier(u) slots, so all entries of u carry the
+  // same vector bytes (checked by ValidateInvariantsForTest).
   size_t bytes = 0;
-  for (const auto& bucket : entries_) {
-    bytes += HashMapBytes(bucket);
-    for (const auto& [v, entry] : bucket) {
-      bytes += VectorBytes(entry.later) + VectorBytes(entry.earlier);
-    }
+  for (VertexId u = 0; u < entries_.size(); ++u) {
+    bytes += HashMapBytes(entries_[u]) +
+             entries_[u].size() * EntryVectorBytes(u);
   }
   return bytes;
+}
+
+void MaxMinIndex::ValidateInvariantsForTest() const {
+  size_t walked = 0;
+  for (VertexId u = 0; u < entries_.size(); ++u) {
+    walked += HashMapBytes(entries_[u]);
+    for (const auto& [v, entry] : entries_[u]) {
+      TCSM_CHECK(entry.later.capacity() == dag_->TrackedLater(u).size());
+      TCSM_CHECK(entry.earlier.capacity() == dag_->TrackedEarlier(u).size());
+      walked += VectorBytes(entry.later) + VectorBytes(entry.earlier);
+    }
+  }
+  TCSM_CHECK(walked == EstimateMemoryBytes() &&
+             "closed-form max-min bytes drifted from the walk");
 }
 
 }  // namespace tcsm

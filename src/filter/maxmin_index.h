@@ -90,7 +90,15 @@ class MaxMinIndex {
   const QueryDag& dag() const { return *dag_; }
 
   size_t NumEntries() const;
+  /// Approximate heap footprint of the entries. O(|V(q)|): every entry of
+  /// a query vertex u has the same fixed slot count, so the per-u total is
+  /// the map's footprint plus (entries × one entry's vector bytes).
   size_t EstimateMemoryBytes() const;
+
+  /// Re-walks every entry, CHECK-fails unless each entry's vectors have
+  /// exactly u's tracked slot count and the walked byte total equals
+  /// EstimateMemoryBytes(). O(entries); intended for tests.
+  void ValidateInvariantsForTest() const;
 
   /// Adds the adjacency-entry scan counts accumulated since the last call
   /// to `*scanned`/`*matched` and resets them (drained by the owning
@@ -116,6 +124,9 @@ class MaxMinIndex {
   const Entry& GetEntry(VertexId u, VertexId v);
 
   Entry ComputeEntry(VertexId u, VertexId v);
+
+  /// Heap bytes of one entry's `later`/`earlier` vectors at u.
+  size_t EntryVectorBytes(VertexId u) const;
 
   /// True when old/new differ on Weak or on a slot of an edge entering u.
   bool GateChanged(VertexId u, const Entry& before, const Entry& after) const;

@@ -7,6 +7,7 @@ namespace tcsm {
 VertexId TemporalGraph::AddVertex(Label label) {
   vertex_labels_.push_back(label);
   adj_.emplace_back();
+  bucket_map_bytes_ += HashMapBytes(adj_.back().buckets);
   return static_cast<VertexId>(vertex_labels_.size() - 1);
 }
 
@@ -35,8 +36,17 @@ uint32_t TemporalGraph::AllocNode(const AdjEntry& entry) {
 uint32_t TemporalGraph::LinkNode(VertexId v, const AdjEntry& entry) {
   const uint32_t n = AllocNode(entry);
   VertexAdj& va = adj_[v];
-  Bucket& bucket =
-      va.buckets[PackPair(entry.elabel, vertex_labels_[entry.nbr])];
+  const uint64_t sig = PackPair(entry.elabel, vertex_labels_[entry.nbr]);
+  auto it = va.buckets.find(sig);
+  if (it == va.buckets.end()) {
+    // A new signature: one more map node, plus the bucket array's growth
+    // if the insertion rehashed. Buckets are never erased, so this is the
+    // only place (besides AddVertex/ClearEdges) the map footprint moves.
+    const size_t before = HashMapBytes(va.buckets);
+    it = va.buckets.emplace(sig, Bucket{}).first;
+    bucket_map_bytes_ += HashMapBytes(va.buckets) - before;
+  }
+  Bucket& bucket = it->second;
   nodes_[n].prev = bucket.tail;
   nodes_[n].next = kNilNode;
   if (bucket.tail == kNilNode) {
@@ -164,8 +174,18 @@ size_t TemporalGraph::EstimateMemoryBytes() const {
                  VectorBytes(nodes_) + VectorBytes(slots_) +
                  VectorBytes(free_slots_) + VectorBytes(pending_free_);
   bytes += ring_.size() * sizeof(uint32_t) + sizeof(ring_);
+  return bytes + bucket_map_bytes_;
+}
+
+size_t TemporalGraph::SumBucketMapBytes() const {
+  size_t bytes = 0;
   for (const auto& va : adj_) bytes += HashMapBytes(va.buckets);
   return bytes;
+}
+
+void TemporalGraph::ValidateInvariantsForTest() const {
+  TCSM_CHECK(bucket_map_bytes_ == SumBucketMapBytes() &&
+             "running bucket-map byte count drifted from the walk");
 }
 
 void TemporalGraph::ClearEdges() {
@@ -182,6 +202,9 @@ void TemporalGraph::ClearEdges() {
     va.buckets.clear();
     va.degree = 0;
   }
+  // clear() keeps each map's bucket array, so the footprint is whatever
+  // the maps kept: recount it once here rather than on every sample.
+  bucket_map_bytes_ = SumBucketMapBytes();
 }
 
 }  // namespace tcsm

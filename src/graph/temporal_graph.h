@@ -201,8 +201,15 @@ class TemporalGraph {
   }
 
   /// Approximate heap footprint of the live state (slot + node pools,
-  /// id ring, buckets, labels). O(window) under FIFO expiry.
+  /// id ring, buckets, labels). O(window) under FIFO expiry. O(1) to
+  /// compute: the per-vertex bucket maps are summed by a running count
+  /// kept up to date by the mutations that grow them (DESIGN.md §7).
   size_t EstimateMemoryBytes() const;
+
+  /// Recomputes the bucket-map footprint by walking every vertex and
+  /// CHECK-fails unless it equals the running count. O(vertices);
+  /// intended for tests.
+  void ValidateInvariantsForTest() const;
 
   /// Removes all edges but keeps vertices (used between experiment runs).
   /// Edge ids restart at 0.
@@ -260,11 +267,16 @@ class TemporalGraph {
   /// Returns pending tombstone slots to the free-list and advances the id
   /// ring past fully reclaimed ids.
   void DrainPendingFrees();
+  /// Sum of HashMapBytes over every vertex's bucket map (full walk).
+  size_t SumBucketMapBytes() const;
 
   bool directed_;
   size_t num_alive_ = 0;
   std::vector<Label> vertex_labels_;
   std::vector<VertexAdj> adj_;
+  /// Running SumBucketMapBytes(): updated by AddVertex, by LinkNode when
+  /// it creates a bucket, and recounted by ClearEdges.
+  size_t bucket_map_bytes_ = 0;
 
   // Node pool with an intrusive singly-linked free-list (through `next`).
   std::vector<AdjNode> nodes_;

@@ -252,6 +252,56 @@ TEST(TemporalGraph, MemoryEstimateBoundedUnderChurn) {
   EXPECT_LE(g.EstimateMemoryBytes(), at_window * 2);
 }
 
+TEST(TemporalGraph, RunningBucketBytesMatchTheWalk) {
+  // The estimate's bucket-map term is a running count; every mutation that
+  // can move it is exercised here and audited against the full walk.
+  TemporalGraph g(/*directed=*/true);
+  constexpr Label kNbrLabels = 40;
+  constexpr Label kEdgeLabels = 3;
+  g.AddVertex(0);  // the hub
+  for (Label l = 0; l < kNbrLabels; ++l) g.AddVertex(l);
+  g.ValidateInvariantsForTest();
+
+  // 120 distinct signatures at the hub force its bucket map through
+  // several rehashes; the estimate grows with every new bucket.
+  Timestamp t = 1;
+  std::vector<EdgeId> live;
+  for (Label el = 0; el < kEdgeLabels; ++el) {
+    for (VertexId v = 1; v <= kNbrLabels; ++v) {
+      const size_t before = g.EstimateMemoryBytes();
+      live.push_back(g.InsertEdge(0, v, t++, el));
+      EXPECT_GT(g.EstimateMemoryBytes(), before);
+      g.ValidateInvariantsForTest();
+    }
+  }
+  // Re-using an existing signature creates no bucket.
+  live.push_back(g.InsertEdge(0, 1, t++, 0));
+  g.ValidateInvariantsForTest();
+
+  // Growing the vertex set while edges are live reallocates the adjacency
+  // array and moves every populated map.
+  g.EnsureVertices(1000);
+  g.ValidateInvariantsForTest();
+  live.push_back(g.InsertEdge(999, 0, t++, 2));
+  g.ValidateInvariantsForTest();
+
+  // Holes in the id ring, then expiry of everything, leave the buckets.
+  const EdgeId far = static_cast<EdgeId>(g.NumEdgesEver() + 50);
+  live.push_back(g.InsertEdgeAs(far, 500, 0, t++, 1));
+  g.ValidateInvariantsForTest();
+  for (const EdgeId id : live) g.RemoveEdge(id);
+  g.ValidateInvariantsForTest();
+
+  // ClearEdges empties the maps but keeps their bucket arrays; re-inserting
+  // afterwards starts from the recounted footprint.
+  g.ClearEdges();
+  g.ValidateInvariantsForTest();
+  for (VertexId v = 1; v <= kNbrLabels; ++v) {
+    g.InsertEdge(v, 0, t++, 1);
+    g.ValidateInvariantsForTest();
+  }
+}
+
 TEST(TemporalGraph, ForEachLiveEdgeAscendingIdOrder) {
   TemporalGraph g;
   g.AddVertex(0);

@@ -25,6 +25,15 @@ struct LargeCase {
 
 class LargeConsistency : public ::testing::TestWithParam<LargeCase> {};
 
+/// Audits the incremental state of a TCM rig against full walks: the DCS
+/// counters and bits, and the graph's and filters' memory accounting.
+void ValidateTcm(SingleQueryContext<TcmEngine>* rig) {
+  rig->graph().ValidateInvariantsForTest();
+  rig->engine().dcs().ValidateInvariantsForTest();
+  if (MaxMinIndex* f = rig->engine().filter_q()) f->ValidateInvariantsForTest();
+  if (MaxMinIndex* f = rig->engine().filter_r()) f->ValidateInvariantsForTest();
+}
+
 TEST_P(LargeConsistency, AllEnginesAgreeOnCounts) {
   const LargeCase param = GetParam();
   SyntheticSpec spec;
@@ -59,7 +68,7 @@ TEST_P(LargeConsistency, AllEnginesAgreeOnCounts) {
 
   SingleQueryContext<TcmEngine> reference(q, schema);
   const auto expect = run(&reference);
-  reference.engine().dcs().ValidateInvariantsForTest();
+  ValidateTcm(&reference);
   // Every match eventually expires once the stream drains.
   EXPECT_EQ(expect.first, expect.second);
 
@@ -76,7 +85,7 @@ TEST_P(LargeConsistency, AllEnginesAgreeOnCounts) {
     c.use_tc_filter = false;
     SingleQueryContext<TcmEngine> e(q, schema, c);
     EXPECT_EQ(run(&e), expect) << "TCM-NoFilter";
-    e.engine().dcs().ValidateInvariantsForTest();
+    ValidateTcm(&e);
   }
   {
     TcmConfig c;

@@ -125,7 +125,10 @@ TEST(StorageSoak, EngineAttachedChurnKeepsDifferentialInvariants) {
   const SoakStats stats = Replay(ds, kWindow, &run);
   EXPECT_LE(stats.peak_slots, stats.peak_alive + 1);
   EXPECT_EQ(run.graph().NumAliveEdges(), 0u);
+  run.graph().ValidateInvariantsForTest();
   run.engine().dcs().ValidateInvariantsForTest();
+  run.engine().filter_q()->ValidateInvariantsForTest();
+  run.engine().filter_r()->ValidateInvariantsForTest();
 }
 
 }  // namespace

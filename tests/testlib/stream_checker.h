@@ -182,6 +182,9 @@ inline uint64_t CheckEngineAgainstOracle(const TemporalDataset& dataset,
       current = next;
       ++arr;
     }
+    // The graphs' running byte counts must track their full walks.
+    context->graph().ValidateInvariantsForTest();
+    mirror.ValidateInvariantsForTest();
     // Drain this event's reports.
     EmbeddingSet got_occurred;
     EmbeddingSet got_expired;
