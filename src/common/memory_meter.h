@@ -16,17 +16,32 @@ namespace tcsm {
 /// Approximate heap footprint of common containers (payload + per-node or
 /// per-bucket overhead). Estimates are intentionally simple and uniform so
 /// cross-engine comparisons are apples-to-apples.
+///
+/// The *PayloadBytes forms count only what a container owns on the heap;
+/// use them for a container embedded in an object that is already counted
+/// (a vector element, a map node), whose header is part of that object.
+/// The *Bytes forms add the header, for a container counted on its own.
+template <typename T>
+size_t VectorPayloadBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 template <typename T>
 size_t VectorBytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T) + sizeof(v);
+  return VectorPayloadBytes(v) + sizeof(v);
+}
+
+template <typename K, typename V, typename H, typename E, typename A>
+size_t HashMapPayloadBytes(const std::unordered_map<K, V, H, E, A>& m) {
+  // Node-based: one heap node per element plus the bucket array.
+  constexpr size_t kNodeOverhead = 2 * sizeof(void*);
+  return m.size() * (sizeof(std::pair<const K, V>) + kNodeOverhead) +
+         m.bucket_count() * sizeof(void*);
 }
 
 template <typename K, typename V, typename H, typename E, typename A>
 size_t HashMapBytes(const std::unordered_map<K, V, H, E, A>& m) {
-  // Node-based: one heap node per element plus the bucket array.
-  constexpr size_t kNodeOverhead = 2 * sizeof(void*);
-  return m.size() * (sizeof(std::pair<const K, V>) + kNodeOverhead) +
-         m.bucket_count() * sizeof(void*) + sizeof(m);
+  return HashMapPayloadBytes(m) + sizeof(m);
 }
 
 template <typename K, typename H, typename E, typename A>

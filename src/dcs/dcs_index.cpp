@@ -352,17 +352,22 @@ void DcsIndex::ValidateInvariantsForTest() const {
 
 size_t DcsIndex::EstimateMemoryBytes() const {
   size_t bytes = HashSetBytes(membership_);
+  // A Node's and a parallel list's vector headers sit in their map node,
+  // already counted by HashMapBytes: add only what they own on the heap.
   for (const auto& bucket : nodes_) {
     bytes += HashMapBytes(bucket);
     for (const auto& [v, node] : bucket) {
-      for (const auto& m : node.up) bytes += HashMapBytes(m);
-      for (const auto& m : node.down) bytes += HashMapBytes(m);
-      bytes += VectorBytes(node.n1) + VectorBytes(node.n2);
+      bytes += VectorPayloadBytes(node.up) + VectorPayloadBytes(node.down) +
+               VectorPayloadBytes(node.n1) + VectorPayloadBytes(node.n2);
+      for (const auto& m : node.up) bytes += HashMapPayloadBytes(m);
+      for (const auto& m : node.down) bytes += HashMapPayloadBytes(m);
     }
   }
   for (const auto& per_edge : parallel_) {
     bytes += HashMapBytes(per_edge);
-    for (const auto& [k, plist] : per_edge) bytes += VectorBytes(plist);
+    for (const auto& [k, plist] : per_edge) {
+      bytes += VectorPayloadBytes(plist);
+    }
   }
   return bytes;
 }

@@ -238,9 +238,10 @@ size_t MaxMinIndex::NumEntries() const {
 }
 
 size_t MaxMinIndex::EntryVectorBytes(VertexId u) const {
+  // The vector headers are part of the map node, already counted by
+  // HashMapBytes; only the slot arrays are extra.
   return (dag_->TrackedLater(u).size() + dag_->TrackedEarlier(u).size()) *
-             sizeof(Timestamp) +
-         2 * sizeof(std::vector<Timestamp>);
+         sizeof(Timestamp);
 }
 
 size_t MaxMinIndex::EstimateMemoryBytes() const {
@@ -262,7 +263,8 @@ void MaxMinIndex::ValidateInvariantsForTest() const {
     for (const auto& [v, entry] : entries_[u]) {
       TCSM_CHECK(entry.later.capacity() == dag_->TrackedLater(u).size());
       TCSM_CHECK(entry.earlier.capacity() == dag_->TrackedEarlier(u).size());
-      walked += VectorBytes(entry.later) + VectorBytes(entry.earlier);
+      walked += VectorPayloadBytes(entry.later) +
+                VectorPayloadBytes(entry.earlier);
     }
   }
   TCSM_CHECK(walked == EstimateMemoryBytes() &&

@@ -7,7 +7,7 @@ namespace tcsm {
 VertexId TemporalGraph::AddVertex(Label label) {
   vertex_labels_.push_back(label);
   adj_.emplace_back();
-  bucket_map_bytes_ += HashMapBytes(adj_.back().buckets);
+  bucket_map_bytes_ += HashMapPayloadBytes(adj_.back().buckets);
   return static_cast<VertexId>(vertex_labels_.size() - 1);
 }
 
@@ -42,9 +42,9 @@ uint32_t TemporalGraph::LinkNode(VertexId v, const AdjEntry& entry) {
     // A new signature: one more map node, plus the bucket array's growth
     // if the insertion rehashed. Buckets are never erased, so this is the
     // only place (besides AddVertex/ClearEdges) the map footprint moves.
-    const size_t before = HashMapBytes(va.buckets);
+    const size_t before = HashMapPayloadBytes(va.buckets);
     it = va.buckets.emplace(sig, Bucket{}).first;
-    bucket_map_bytes_ += HashMapBytes(va.buckets) - before;
+    bucket_map_bytes_ += HashMapPayloadBytes(va.buckets) - before;
   }
   Bucket& bucket = it->second;
   nodes_[n].prev = bucket.tail;
@@ -179,7 +179,7 @@ size_t TemporalGraph::EstimateMemoryBytes() const {
 
 size_t TemporalGraph::SumBucketMapBytes() const {
   size_t bytes = 0;
-  for (const auto& va : adj_) bytes += HashMapBytes(va.buckets);
+  for (const auto& va : adj_) bytes += HashMapPayloadBytes(va.buckets);
   return bytes;
 }
 

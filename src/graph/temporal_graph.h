@@ -267,7 +267,8 @@ class TemporalGraph {
   /// Returns pending tombstone slots to the free-list and advances the id
   /// ring past fully reclaimed ids.
   void DrainPendingFrees();
-  /// Sum of HashMapBytes over every vertex's bucket map (full walk).
+  /// Heap payload of every vertex's bucket map, by a full walk. The map
+  /// objects themselves sit in adj_'s array, counted by VectorBytes(adj_).
   size_t SumBucketMapBytes() const;
 
   bool directed_;

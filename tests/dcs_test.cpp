@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -245,6 +246,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DcsProperty,
                                            DcsPropertyCase{14},
                                            DcsPropertyCase{15},
                                            DcsPropertyCase{16}));
+
+TEST(DcsIndex, MemoryEstimatePinnedForOneEdge) {
+#if !defined(__GLIBCXX__) || UINTPTR_MAX != UINT64_MAX
+  GTEST_SKIP() << "byte counts below assume libstdc++ on an LP64 target";
+#endif
+  // Query u0 - u1 rooted at u0, one DCS edge (u0, u1) -> (v0, v1): two
+  // nodes, one membership key, one parallel list. Each container header is
+  // counted once; vectors inside a map node add only their heap payload.
+  QueryGraph q(/*directed=*/false);
+  q.AddVertex(0);
+  q.AddVertex(0);
+  q.AddEdge(0, 1);
+  const QueryDag dag = QueryDag::BuildDagGreedy(q, 0);
+  ASSERT_EQ(dag.ParentOf(0), 0u);
+  DcsIndex dcs(&q, &dag);
+  dcs.Insert(0, TemporalEdge{0, 0, 1, 1, 0}, /*flip=*/false);
+  ASSERT_EQ(dcs.stats().num_nodes, 2u);
+  const size_t membership = (8 + 16) + 13 * 8 + 56;
+  // Per node map: a node {key 4 + pad, Node 104 -> 112, +16 links}, a
+  // 13-slot bucket array and the map header. Each Node holds one NbrMap
+  // (in `down` for u0, in `up` for u1: 56 B array + a one-entry map of
+  // (8 + 16) + 13 * 8) and one 4-byte support counter.
+  const size_t node_map = (112 + 16) + 13 * 8 + 56;
+  const size_t node_payload = 56 + ((8 + 16) + 13 * 8) + 4;
+  // The parallel-list map: a node {key 8, vector header 24, +16 links},
+  // buckets and header, plus the list's one 16-byte ParallelEdge.
+  const size_t parallel = (32 + 16) + 13 * 8 + 56 + 16;
+  EXPECT_EQ(dcs.EstimateMemoryBytes(),
+            membership + 2 * (node_map + node_payload) + parallel);
+  EXPECT_EQ(dcs.EstimateMemoryBytes(), 1360u);
+}
 
 }  // namespace
 }  // namespace tcsm

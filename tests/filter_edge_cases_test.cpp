@@ -3,6 +3,8 @@
 // labeled edges inside weak embeddings, and memory accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "dag/query_dag.h"
 #include "filter/maxmin_index.h"
 #include "graph/temporal_graph.h"
@@ -152,6 +154,29 @@ TEST(FilterEdgeCases, MemoryAndEntryCountsGrow) {
   }
   EXPECT_GT(index.NumEntries(), 0u);
   EXPECT_GT(index.EstimateMemoryBytes(), empty_bytes);
+}
+
+TEST(FilterEdgeCases, MemoryEstimatePinnedForOneEntry) {
+#if !defined(__GLIBCXX__) || UINTPTR_MAX != UINT64_MAX
+  GTEST_SKIP() << "byte counts below assume libstdc++ on an LP64 target";
+#endif
+  // u0 -e0- u1 -e1- u2 with e0 ≺ e1, rooted at u0: u1 tracks one Later
+  // slot. A label mismatch materializes exactly one entry, at (u1, v0).
+  const QueryGraph q = ChainQuery(2);
+  const QueryDag dag = QueryDag::BuildDagGreedy(q, 0);
+  ASSERT_EQ(dag.TrackedLater(1).size(), 1u);
+  ASSERT_EQ(dag.TrackedEarlier(1).size(), 0u);
+  TemporalGraph g;
+  g.AddVertex(1);
+  MaxMinIndex index(&g, &dag);
+  EXPECT_FALSE(index.Weak(1, 0));
+  ASSERT_EQ(index.NumEntries(), 1u);
+  // The entry's vector headers are inside its map node {key 4 + pad,
+  // Entry 56 -> 64, +16 links}; only its one 8-byte slot is extra.
+  const size_t u1 = (64 + 16) + 13 * 8 + 56 + 1 * 8;
+  const size_t empty_map = 1 * 8 + 56;  // u0 and u2
+  EXPECT_EQ(index.EstimateMemoryBytes(), u1 + 2 * empty_map);
+  EXPECT_EQ(index.EstimateMemoryBytes(), 376u);
 }
 
 }  // namespace

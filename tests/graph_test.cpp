@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -300,6 +301,29 @@ TEST(TemporalGraph, RunningBucketBytesMatchTheWalk) {
     g.InsertEdge(v, 0, t++, 1);
     g.ValidateInvariantsForTest();
   }
+}
+
+TEST(TemporalGraph, MemoryEstimatePinnedForOneEdge) {
+#if !defined(__GLIBCXX__) || UINTPTR_MAX != UINT64_MAX
+  GTEST_SKIP() << "byte counts below assume libstdc++ on an LP64 target";
+#endif
+  // Each container header is counted once: the bucket maps live inside
+  // adj_'s elements, so only their heap payload is added on top.
+  TemporalGraph g;
+  g.AddVertex(0);
+  g.AddVertex(0);
+  g.InsertEdge(0, 1, 1);
+  const size_t vectors = (2 * 4 + 24)     // vertex_labels_: 2 Labels
+                         + (2 * 64 + 24)  // adj_: 2 x {map 56, degree 8}
+                         + (2 * 32 + 24)  // nodes_: 2 x AdjNode
+                         + (1 * 48 + 24)  // slots_: 1 x EdgeSlot
+                         + 24 + 24        // free_slots_, pending_free_
+                         + (1 * 4 + 80);  // ring_: 1 id + deque header
+  // Per vertex, one bucket: a node {key 8, Bucket 12 -> 24, +16 links}
+  // and a 13-slot bucket array.
+  const size_t bucket_maps = 2 * ((24 + 16) + 13 * 8);
+  EXPECT_EQ(g.EstimateMemoryBytes(), vectors + bucket_maps);
+  EXPECT_EQ(g.EstimateMemoryBytes(), 764u);
 }
 
 TEST(TemporalGraph, ForEachLiveEdgeAscendingIdOrder) {
