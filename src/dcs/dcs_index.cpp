@@ -365,9 +365,7 @@ size_t DcsIndex::EstimateMemoryBytes() const {
   }
   for (const auto& per_edge : parallel_) {
     bytes += HashMapBytes(per_edge);
-    for (const auto& [k, plist] : per_edge) {
-      bytes += VectorPayloadBytes(plist);
-    }
+    for (const auto& [k, plist] : per_edge) bytes += VectorPayloadBytes(plist);
   }
   return bytes;
 }

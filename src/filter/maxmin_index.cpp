@@ -237,7 +237,7 @@ size_t MaxMinIndex::NumEntries() const {
   return n;
 }
 
-size_t MaxMinIndex::EntryVectorBytes(VertexId u) const {
+size_t MaxMinIndex::EntrySlotBytes(VertexId u) const {
   // The vector headers are part of the map node, already counted by
   // HashMapBytes; only the slot arrays are extra.
   return (dag_->TrackedLater(u).size() + dag_->TrackedEarlier(u).size()) *
@@ -247,11 +247,11 @@ size_t MaxMinIndex::EntryVectorBytes(VertexId u) const {
 size_t MaxMinIndex::EstimateMemoryBytes() const {
   // Closed form: ComputeEntry sizes every entry of u to exactly
   // TrackedLater(u)/TrackedEarlier(u) slots, so all entries of u carry the
-  // same vector bytes (checked by ValidateInvariantsForTest).
+  // same slot bytes (checked by ValidateInvariantsForTest).
   size_t bytes = 0;
   for (VertexId u = 0; u < entries_.size(); ++u) {
     bytes += HashMapBytes(entries_[u]) +
-             entries_[u].size() * EntryVectorBytes(u);
+             entries_[u].size() * EntrySlotBytes(u);
   }
   return bytes;
 }

@@ -92,7 +92,7 @@ class MaxMinIndex {
   size_t NumEntries() const;
   /// Approximate heap footprint of the entries. O(|V(q)|): every entry of
   /// a query vertex u has the same fixed slot count, so the per-u total is
-  /// the map's footprint plus (entries × one entry's vector bytes).
+  /// the map's footprint plus (entries × one entry's slot bytes).
   size_t EstimateMemoryBytes() const;
 
   /// Re-walks every entry, CHECK-fails unless each entry's vectors have
@@ -125,8 +125,8 @@ class MaxMinIndex {
 
   Entry ComputeEntry(VertexId u, VertexId v);
 
-  /// Heap bytes of one entry's `later`/`earlier` vectors at u.
-  size_t EntryVectorBytes(VertexId u) const;
+  /// Heap bytes of one entry's `later`/`earlier` slot arrays at u.
+  size_t EntrySlotBytes(VertexId u) const;
 
   /// True when old/new differ on Weak or on a slot of an edge entering u.
   bool GateChanged(VertexId u, const Entry& before, const Entry& after) const;

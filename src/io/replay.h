@@ -32,9 +32,9 @@ struct ReplayOptions {
   size_t max_arrivals = 0;
   /// Context memory is sampled every this many events; 0 = every 64
   /// events (a stream's length is unknown up front, so unlike RunStream
-  /// the cadence cannot adapt to it). A sample no longer costs
-  /// O(vertices): the graph and max-min estimates are O(1) and
-  /// O(|V(q)|) (DESIGN.md §7), only the small DCS walk remains.
+  /// the cadence cannot adapt to it). A sample does not grow with the
+  /// vertex count: it is O(1) for the graph and O(|V(q)|) per max-min
+  /// index, plus the DCS walk (DESIGN.md §7).
   size_t memory_sample_every = 0;
   /// Largest micro-batch handed to the context in one batch call (see
   /// StreamConfig::max_batch): consecutive same-timestamp arrivals, or

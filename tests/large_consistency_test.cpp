@@ -30,8 +30,9 @@ class LargeConsistency : public ::testing::TestWithParam<LargeCase> {};
 void ValidateTcm(SingleQueryContext<TcmEngine>* rig) {
   rig->graph().ValidateInvariantsForTest();
   rig->engine().dcs().ValidateInvariantsForTest();
-  if (MaxMinIndex* f = rig->engine().filter_q()) f->ValidateInvariantsForTest();
-  if (MaxMinIndex* f = rig->engine().filter_r()) f->ValidateInvariantsForTest();
+  for (MaxMinIndex* f : {rig->engine().filter_q(), rig->engine().filter_r()}) {
+    if (f != nullptr) f->ValidateInvariantsForTest();
+  }
 }
 
 TEST_P(LargeConsistency, AllEnginesAgreeOnCounts) {
