@@ -925,7 +925,9 @@ int CmdReplay(const Args& args, std::ostream& out) {
         << ",\"adj_matched\":" << r.adj_entries_matched
         << ",\"completed\":" << (r.completed ? "true" : "false");
     if (obs.obs != nullptr) {
-      out << ",\"stages\":" << StagesJson(obs.obs->Snapshot());
+      const MetricsSnapshot snap = obs.obs->Snapshot();
+      out << ",\"engine_calls\":" << snap.CounterValue("stream.engine_calls")
+          << ",\"stages\":" << StagesJson(snap);
     }
     out << ",\"queries\":[";
     for (size_t i = 0; i < engines.size(); ++i) {

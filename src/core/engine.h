@@ -5,13 +5,16 @@
 // the graph exactly once and then notifies every attached engine, which
 // maintains only per-query state (DAG, filter indexes, DCS, backtracking
 // scratch) and reports every time-constrained embedding that occurs or
-// expires. See DESIGN.md §1 for the ownership model.
+// expires. See DESIGN.md §1 for the ownership model and the label routing
+// that decides which engines an event reaches.
 #ifndef TCSM_CORE_ENGINE_H_
 #define TCSM_CORE_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -78,6 +81,10 @@ struct GraphSchema {
   std::vector<Label> vertex_labels;
 };
 
+/// (edge label, source vertex label, destination vertex label) of a data
+/// edge: the key a SharedStreamContext routes events on.
+using LabelSignature = std::array<Label, 3>;
+
 struct EngineCounters {
   uint64_t occurred = 0;
   uint64_t expired = 0;
@@ -118,6 +125,16 @@ class ContinuousEngine {
   /// per-query indexes. Engines without deletion-time index work keep the
   /// default no-op.
   virtual void OnEdgeRemoved(const TemporalEdge& ed) { (void)ed; }
+
+  /// The label signatures outside which all three hooks are no-ops: the
+  /// context then delivers only events whose (edge label, label(src),
+  /// label(dst)) is listed, in either orientation the engine needs
+  /// spelled out. It is read once, when the engine is attached. The
+  /// default, std::nullopt, routes every event to the engine.
+  virtual std::optional<std::vector<LabelSignature>> RouteSignatures()
+      const {
+    return std::nullopt;
+  }
 
   /// Accounting-based footprint of the engine's per-query state (indexes,
   /// materialized records, scratch). The shared graph is accounted once by

@@ -1,5 +1,7 @@
 #include "core/shared_context.h"
 
+#include <optional>
+
 #include "common/logging.h"
 #include "obs/observability.h"
 
@@ -17,7 +19,30 @@ void SharedStreamContext::Attach(ContinuousEngine* engine) {
   TCSM_CHECK(engine != nullptr);
   engine->set_deadline(deadline_);
   engine->set_stage_metrics(stages_);
+  const size_t index = engines_.size();
   engines_.push_back(engine);
+  // `index` exceeds every index filed so far, so appending keeps each
+  // route in attach order.
+  const std::optional<std::vector<LabelSignature>> sigs =
+      engine->RouteSignatures();
+  if (!sigs.has_value()) {
+    every_event_.push_back(index);
+    for (auto& [sig, route] : routes_) route.push_back(index);
+    return;
+  }
+  for (const LabelSignature& sig : *sigs) {
+    std::vector<size_t>& route = routes_.try_emplace(sig, every_event_)
+                                     .first->second;
+    if (route.empty() || route.back() != index) route.push_back(index);
+  }
+}
+
+const std::vector<size_t>& SharedStreamContext::Route(
+    const TemporalEdge& ed) const {
+  if (routes_.empty()) return every_event_;
+  const auto it = routes_.find(
+      {ed.label, g_.VertexLabel(ed.src), g_.VertexLabel(ed.dst)});
+  return it != routes_.end() ? it->second : every_event_;
 }
 
 void SharedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
@@ -49,15 +74,21 @@ void SharedStreamContext::OnEdgeExpiryBatch(const TemporalEdge* edges,
 }
 
 void SharedStreamContext::NotifyInserted(const TemporalEdge& ed) {
-  for (ContinuousEngine* engine : engines_) engine->OnEdgeInserted(ed);
+  const std::vector<size_t>& route = Route(ed);
+  CountEngineCalls(route.size());
+  for (const size_t i : route) engines_[i]->OnEdgeInserted(ed);
 }
 
 void SharedStreamContext::NotifyExpiring(const TemporalEdge& ed) {
-  for (ContinuousEngine* engine : engines_) engine->OnEdgeExpiring(ed);
+  const std::vector<size_t>& route = Route(ed);
+  CountEngineCalls(route.size());
+  for (const size_t i : route) engines_[i]->OnEdgeExpiring(ed);
 }
 
 void SharedStreamContext::NotifyRemoved(const TemporalEdge& ed) {
-  for (ContinuousEngine* engine : engines_) engine->OnEdgeRemoved(ed);
+  const std::vector<size_t>& route = Route(ed);
+  CountEngineCalls(route.size());
+  for (const size_t i : route) engines_[i]->OnEdgeRemoved(ed);
 }
 
 size_t SharedStreamContext::EstimateMemoryBytes() const {

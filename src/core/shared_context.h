@@ -6,15 +6,23 @@
 // keep only per-query state — O(1) graph storage and one adjacency update
 // per event for any number of queries (DESIGN.md §1).
 //
+// An event reaches only the engines routed for its label signature
+// (edge label, label(src), label(dst)): Attach files each engine under
+// the signatures it declares (ContinuousEngine::RouteSignatures), and an
+// engine that declares none receives every event.
+//
 // The fan-out itself is a protected virtual seam (NotifyInserted /
-// NotifyExpiring / NotifyRemoved): the base class notifies engines in
-// attach order on the calling thread, and ParallelStreamContext
-// (exec/parallel_context.h) overrides the seam to shard the per-engine
-// work across a worker pool while the graph mutations stay on the driver
-// thread (DESIGN.md §6).
+// NotifyExpiring / NotifyRemoved): the base class notifies the event's
+// routed engines in attach order on the calling thread, and
+// ParallelStreamContext (exec/parallel_context.h) overrides the seam to
+// shard the same per-engine work across a worker pool while the graph
+// mutations stay on the driver thread (DESIGN.md §6).
 #ifndef TCSM_CORE_SHARED_CONTEXT_H_
 #define TCSM_CORE_SHARED_CONTEXT_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,10 +46,16 @@ class SharedStreamContext {
   /// The canonical windowed graph. Engines bind to this at construction.
   const TemporalGraph& graph() const { return g_; }
 
-  /// Registers an engine constructed against graph(). The engine must
-  /// outlive all subsequent event processing.
+  /// Registers an engine constructed against graph() and files it in the
+  /// route table under its RouteSignatures(). The engine must outlive all
+  /// subsequent event processing.
   void Attach(ContinuousEngine* engine);
   const std::vector<ContinuousEngine*>& engines() const { return engines_; }
+
+  /// Indices into engines(), in attach order, of the engines an event on
+  /// the live or just-removed graph edge `ed` is delivered to: those
+  /// filed under its label signature plus those that take every event.
+  const std::vector<size_t>& Route(const TemporalEdge& ed) const;
 
   /// Applies an arrival to the shared graph (edge ids must be the dense
   /// arrival indices 0, 1, 2, ... of TemporalDataset::Normalize()) and
@@ -91,8 +105,8 @@ class SharedStreamContext {
   virtual size_t num_threads() const { return 1; }
 
  protected:
-  /// Engine fan-out seam. The base implementations notify every attached
-  /// engine in attach order on the calling thread; overrides may
+  /// Engine fan-out seam. The base implementations notify the event's
+  /// Route() in attach order on the calling thread; overrides may
   /// distribute the calls but must preserve the event protocol: the
   /// arrival is already applied when NotifyInserted runs, the expiring
   /// edge is still live throughout NotifyExpiring and already removed
@@ -108,9 +122,29 @@ class SharedStreamContext {
   const StageMetrics* stage_metrics() const { return stages_; }
   TraceWriter* trace_writer() const { return trace_; }
 
+  /// Records one fan-out phase that delivers `width` hook calls.
+  void CountEngineCalls(size_t width) const {
+    if (stages_ != nullptr) stages_->engine_calls->Add(width);
+  }
+
  private:
+  struct LabelSignatureHash {
+    size_t operator()(const LabelSignature& sig) const {
+      // Mixes all 96 bits; equality still compares the full labels.
+      uint64_t h = ((uint64_t{sig[0]} << 32) | sig[1]) * 0x9e3779b97f4a7c15ull;
+      h = (h ^ (h >> 29) ^ sig[2]) * 0xbf58476d1ce4e5b9ull;
+      return static_cast<size_t>(h ^ (h >> 32));
+    }
+  };
+
   TemporalGraph g_;
   std::vector<ContinuousEngine*> engines_;
+  /// Engines that take every event, in attach order.
+  std::vector<size_t> every_event_;
+  /// Per label signature: its engines merged with every_event_, in attach
+  /// order. A signature no engine declared routes to every_event_ alone.
+  std::unordered_map<LabelSignature, std::vector<size_t>, LabelSignatureHash>
+      routes_;
   Deadline* deadline_ = nullptr;
   Observability* obs_ = nullptr;
   const StageMetrics* stages_ = nullptr;

@@ -60,8 +60,8 @@ TcmEngine::TcmEngine(const QueryGraph& query, const TemporalGraph& graph,
   ets_.assign(query_.NumEdges(), 0);
   for (EdgeId qe = 0; qe < query_.NumEdges(); ++qe) {
     const QueryEdge& q = query_.Edge(qe);
-    const std::array<Label, 3> sig{q.elabel, query_.VertexLabel(q.u),
-                                   query_.VertexLabel(q.v)};
+    const LabelSignature sig{q.elabel, query_.VertexLabel(q.u),
+                             query_.VertexLabel(q.v)};
     if (std::find(feasible_sigs_.begin(), feasible_sigs_.end(), sig) ==
         feasible_sigs_.end()) {
       feasible_sigs_.push_back(sig);
@@ -91,6 +91,19 @@ bool TcmEngine::Relevant(const TemporalEdge& ed) const {
     if (undirected && sig[1] == ld && sig[2] == ls) return true;
   }
   return false;
+}
+
+std::optional<std::vector<LabelSignature>> TcmEngine::RouteSignatures()
+    const {
+  // AbsenceArrival must see every arrival, relevant or not.
+  if (absence_active()) return std::nullopt;
+  std::vector<LabelSignature> sigs = feasible_sigs_;
+  if (!query_.directed()) {
+    for (const LabelSignature& sig : feasible_sigs_) {
+      sigs.push_back({sig[0], sig[2], sig[1]});
+    }
+  }
+  return sigs;
 }
 
 void TcmEngine::OnEdgeInserted(const TemporalEdge& ed) {

@@ -26,8 +26,8 @@
 #ifndef TCSM_CORE_TCM_ENGINE_H_
 #define TCSM_CORE_TCM_ENGINE_H_
 
-#include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -90,6 +90,10 @@ class TcmEngine : public ContinuousEngine {
   void OnEdgeInserted(const TemporalEdge& ed) override;
   void OnEdgeExpiring(const TemporalEdge& ed) override;
   void OnEdgeRemoved(const TemporalEdge& ed) override;
+  /// The query edges' label signatures (both orientations for undirected
+  /// queries) — exactly the events Relevant() accepts — or every event
+  /// while absence predicates must watch all arrivals.
+  std::optional<std::vector<LabelSignature>> RouteSignatures() const override;
   size_t EstimateMemoryBytes() const override;
 
   const DcsIndex& dcs() const { return dcs_; }
@@ -111,7 +115,9 @@ class TcmEngine : public ContinuousEngine {
 
   /// True when some (query edge, orientation) pair is statically feasible
   /// for `ed`; statically infeasible events are complete no-ops. Tested
-  /// against the precomputed label signatures of the query edges.
+  /// against the precomputed label signatures of the query edges. A
+  /// routing context never delivers such events; this is the engine's own
+  /// guard for direct callers and wrapping engines.
   bool Relevant(const TemporalEdge& ed) const;
 
   /// Recomputes filter verdicts affected by the update and applies the
@@ -154,8 +160,9 @@ class TcmEngine : public ContinuousEngine {
   QueryDag dag_r_;
   TcmConfig config_;
   const TemporalGraph& g_;  // shared, owned by the stream context
-  /// (edge label, label(u), label(v)) per query edge, for Relevant().
-  std::vector<std::array<Label, 3>> feasible_sigs_;
+  /// (edge label, label(u), label(v)) per query edge, deduplicated, for
+  /// Relevant() and RouteSignatures().
+  std::vector<LabelSignature> feasible_sigs_;
   std::unique_ptr<MaxMinIndex> filter_q_;
   std::unique_ptr<MaxMinIndex> filter_r_;
   DcsIndex dcs_;

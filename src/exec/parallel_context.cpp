@@ -8,12 +8,12 @@ ParallelStreamContext::ParallelStreamContext(const GraphSchema& schema,
                                              size_t num_threads)
     : SharedStreamContext(schema), pool_(num_threads) {}
 
-void ParallelStreamContext::SyncSinks() {
+void ParallelStreamContext::SyncSinks(const std::vector<size_t>& route) {
   const std::vector<ContinuousEngine*>& attached = engines();
   while (buffers_.size() < attached.size()) {
     buffers_.push_back(std::make_unique<BufferedMatchSink>());
   }
-  for (size_t i = 0; i < attached.size(); ++i) {
+  for (const size_t i : route) {
     MatchSink* current = attached[i]->sink();
     if (current == buffers_[i].get()) continue;
     // The caller (re)installed a sink since the last event: buffer in
@@ -26,24 +26,24 @@ void ParallelStreamContext::SyncSinks() {
 
 void ParallelStreamContext::RunPhase(
     void (ContinuousEngine::*hook)(const TemporalEdge&),
-    const TemporalEdge& ed, const char* span_name) {
+    const TemporalEdge& ed, const std::vector<size_t>& route,
+    const char* span_name) {
   const std::vector<ContinuousEngine*>& attached = engines();
   const StageMetrics* const stages = stage_metrics();
+  CountEngineCalls(route.size());
   try {
     const ScopedStage span(
         stages != nullptr ? stages->pipeline_step_ns : nullptr,
         trace_writer(), span_name, "pipeline");
-    pool_.ParallelFor(attached.size(),
-                      [&](size_t i) { (attached[i]->*hook)(ed); });
+    pool_.ParallelFor(route.size(),
+                      [&](size_t k) { (attached[route[k]]->*hook)(ed); });
   } catch (...) {
     // A failed phase poisons the event: engines that did complete must
     // not have their buffered matches replayed under a later event's
     // drain, so discard them before propagating. (Engine index state may
     // be inconsistent after an exception either way; the context is not
     // fit to continue the same stream.)
-    for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-      buffer->Discard();
-    }
+    for (const size_t i : route) buffers_[i]->Discard();
     throw;
   }
   // Draining after every phase (after OnEdgeExpiring too, before the
@@ -51,9 +51,7 @@ void ParallelStreamContext::RunPhase(
   // identical to serial execution.
   const ScopedStage drain(stages != nullptr ? stages->sink_drain_ns : nullptr,
                           trace_writer(), "drain", "pipeline");
-  for (const std::unique_ptr<BufferedMatchSink>& buffer : buffers_) {
-    buffer->Drain();
-  }
+  for (const size_t i : route) buffers_[i]->Drain();
 }
 
 void ParallelStreamContext::NotifyInserted(const TemporalEdge& ed) {
@@ -61,8 +59,9 @@ void ParallelStreamContext::NotifyInserted(const TemporalEdge& ed) {
     SharedStreamContext::NotifyInserted(ed);
     return;
   }
-  SyncSinks();
-  RunPhase(&ContinuousEngine::OnEdgeInserted, ed, "insert_fanout");
+  const std::vector<size_t>& route = Route(ed);
+  SyncSinks(route);
+  RunPhase(&ContinuousEngine::OnEdgeInserted, ed, route, "insert_fanout");
 }
 
 void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
@@ -70,8 +69,9 @@ void ParallelStreamContext::NotifyExpiring(const TemporalEdge& ed) {
     SharedStreamContext::NotifyExpiring(ed);
     return;
   }
-  SyncSinks();
-  RunPhase(&ContinuousEngine::OnEdgeExpiring, ed, "expiring_fanout");
+  const std::vector<size_t>& route = Route(ed);
+  SyncSinks(route);
+  RunPhase(&ContinuousEngine::OnEdgeExpiring, ed, route, "expiring_fanout");
 }
 
 void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
@@ -79,7 +79,8 @@ void ParallelStreamContext::NotifyRemoved(const TemporalEdge& ed) {
     SharedStreamContext::NotifyRemoved(ed);
     return;
   }
-  RunPhase(&ContinuousEngine::OnEdgeRemoved, ed, "removed_fanout");
+  // NotifyExpiring synced the sinks of this edge's route.
+  RunPhase(&ContinuousEngine::OnEdgeRemoved, ed, Route(ed), "removed_fanout");
 }
 
 }  // namespace tcsm

@@ -4,11 +4,12 @@
 // fan-out runs on a worker pool instead of a loop: the graph mutation for
 // an event is still applied exactly once on the driver thread (the
 // two-phase expiry protocol of DESIGN.md §3 is unchanged), and then the
-// per-engine OnEdgeInserted / OnEdgeExpiring / OnEdgeRemoved work —
-// embarrassingly parallel because engines are read-only views of a const
-// graph — is spread across the pool (each participant keeps its home
-// slice of the engines and steals when it runs dry), with a full barrier
-// at the end of each phase. In particular the barrier
+// per-engine OnEdgeInserted / OnEdgeExpiring / OnEdgeRemoved work of the
+// event's route (SharedStreamContext::Route) — embarrassingly parallel
+// because engines are read-only views of a const graph — is spread across
+// the pool (each participant keeps its home slice of the route and steals
+// when it runs dry), with a full barrier at the end of each phase. A
+// route of zero or one engine never wakes the pool. In particular the barrier
 // between OnEdgeExpiring and the graph removal guarantees every engine
 // enumerated its dying embeddings against the pre-deletion state before
 // the edge disappears.
@@ -47,16 +48,19 @@ class ParallelStreamContext : public SharedStreamContext {
   void NotifyRemoved(const TemporalEdge& ed) override;
 
  private:
-  /// Interposes a BufferedMatchSink in front of every engine's current
-  /// sink. Runs on the driver thread before each event's fan-out, so
-  /// engines attached or re-sinked between events are picked up.
-  void SyncSinks();
-  /// Runs `hook` on every attached engine across the pool, blocks until
-  /// all of them finished (the phase barrier), then drains the per-engine
-  /// buffers in attach order (serial match order). With metrics on, the
-  /// fan-out is timed as a `span_name` stage and the drain as `drain`.
+  /// Interposes a BufferedMatchSink in front of the current sink of every
+  /// engine in `route`. Runs on the driver thread before each event's
+  /// fan-out, so engines attached or re-sinked between events are picked
+  /// up by the next event routed to them.
+  void SyncSinks(const std::vector<size_t>& route);
+  /// Runs `hook` on every engine in `route` across the pool, blocks until
+  /// all of them finished (the phase barrier), then drains their buffers
+  /// in attach order (serial match order). With metrics on, the fan-out
+  /// is timed as a `span_name` stage and the drain as `drain`, also for an
+  /// empty route.
   void RunPhase(void (ContinuousEngine::*hook)(const TemporalEdge&),
-                const TemporalEdge& ed, const char* span_name);
+                const TemporalEdge& ed, const std::vector<size_t>& route,
+                const char* span_name);
 
   ThreadPool pool_;
   std::vector<std::unique_ptr<BufferedMatchSink>> buffers_;

@@ -185,6 +185,9 @@ struct StageMetrics {
   // arrivals; text streams also count dropped self loops).
   Counter* ingest_records = nullptr;
   Counter* ingest_bytes = nullptr;
+  // Engine hook calls the context's fan-out delivered: each phase adds
+  // its route's width (at most the attached engine count).
+  Counter* engine_calls = nullptr;
   // Stream position gauges.
   Gauge* live_edges = nullptr;
   Gauge* peak_bytes = nullptr;

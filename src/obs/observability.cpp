@@ -11,6 +11,7 @@ Observability::Observability() {
   stages_.expiry_batches = registry_.AddCounter("stream.expiry_batches");
   stages_.ingest_records = registry_.AddCounter("io.ingest_records");
   stages_.ingest_bytes = registry_.AddCounter("io.ingest_bytes");
+  stages_.engine_calls = registry_.AddCounter("stream.engine_calls");
 
   stages_.live_edges = registry_.AddGauge("stream.live_edges");
   stages_.peak_bytes = registry_.AddGauge("stream.peak_bytes");

@@ -54,13 +54,15 @@ void StatsReporter::Tick(size_t events_total, size_t live_edges,
       scanned > 0 ? static_cast<double>(matched) / scanned : 0.0;
 
   MetricsSnapshot snap = obs_->Snapshot();
+  const uint64_t engine_calls = snap.CounterValue("stream.engine_calls");
   std::ostream& out = *out_;
   if (json_) {
     out << "{\"type\":\"stats\",\"events\":" << events_total
         << ",\"events_per_sec\":" << Fmt1(events_per_sec)
         << ",\"live_edges\":" << live_edges << ",\"occurred\":" << agg.occurred
         << ",\"expired\":" << agg.expired
-        << ",\"scan_selectivity\":" << Fmt3(selectivity) << ",\"stages\":{";
+        << ",\"scan_selectivity\":" << Fmt3(selectivity)
+        << ",\"engine_calls\":" << engine_calls << ",\"stages\":{";
     bool first = true;
     for (const auto& [name, hist] : snap.histograms) {
       const HistogramSnapshot* prev = last_snap_.FindHistogram(name);
@@ -78,7 +80,8 @@ void StatsReporter::Tick(size_t events_total, size_t live_edges,
     out << "[stats] events=" << events_total
         << " ev_per_s=" << Fmt1(events_per_sec) << " live=" << live_edges
         << " occurred=" << agg.occurred << " expired=" << agg.expired
-        << " scan_sel=" << Fmt3(selectivity);
+        << " scan_sel=" << Fmt3(selectivity)
+        << " engine_calls=" << engine_calls;
     for (const auto& [name, hist] : snap.histograms) {
       const HistogramSnapshot* prev = last_snap_.FindHistogram(name);
       const HistogramSnapshot delta =

@@ -1,7 +1,7 @@
 // Periodic stream statistics (--stats-every=N): one text or JSON line
 // every N delivered events with events/sec, live window occupancy,
-// per-stage latency quantiles over the tick interval, and scan
-// selectivity (DESIGN.md §11).
+// per-stage latency quantiles over the tick interval, scan selectivity,
+// and the engine hook calls delivered so far (DESIGN.md §11).
 #ifndef TCSM_OBS_STATS_REPORTER_H_
 #define TCSM_OBS_STATS_REPORTER_H_
 

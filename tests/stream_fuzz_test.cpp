@@ -7,11 +7,15 @@
 // replays each entry through a MultiQueryEngine and diffs every tagged
 // per-query stream against an independently run single-query engine, and
 // the parallel scenario replays a 4-query fan-out at 2/4/8 threads and
-// requires byte-identical per-query streams versus serial execution. Any
-// divergence reproduces from the scenario name, which encodes the seed.
+// requires byte-identical per-query streams versus serial execution, and
+// the routing scenario requires label-routed delivery to equal delivery
+// of every event to every engine. Any divergence reproduces from the
+// scenario name, which encodes the seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -25,6 +29,7 @@
 #include "core/stream_driver.h"
 #include "core/tcm_engine.h"
 #include "datasets/synthetic.h"
+#include "exec/parallel_context.h"
 #include "obs/observability.h"
 #include "querygen/query_generator.h"
 #include "testlib/fuzz_scenarios.h"
@@ -314,6 +319,151 @@ TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
   }
 }
 
+// Hides an engine's RouteSignatures: forwards the three hooks and the
+// engine's reports, so the context delivers it every event, the path of
+// an engine that declares no signatures.
+class UnroutedEngine : public ContinuousEngine {
+ public:
+  explicit UnroutedEngine(ContinuousEngine* inner)
+      : inner_(inner), forward_(this) {
+    inner_->set_sink(&forward_);
+  }
+
+  std::string name() const override { return inner_->name(); }
+  void OnEdgeInserted(const TemporalEdge& ed) override {
+    inner_->OnEdgeInserted(ed);
+  }
+  void OnEdgeExpiring(const TemporalEdge& ed) override {
+    inner_->OnEdgeExpiring(ed);
+  }
+  void OnEdgeRemoved(const TemporalEdge& ed) override {
+    inner_->OnEdgeRemoved(ed);
+  }
+  size_t EstimateMemoryBytes() const override {
+    return inner_->EstimateMemoryBytes();
+  }
+
+ private:
+  class Forward : public MatchSink {
+   public:
+    explicit Forward(const UnroutedEngine* owner) : owner_(owner) {}
+    bool wants_each_embedding() const override {
+      return owner_->sink() != nullptr &&
+             owner_->sink()->wants_each_embedding();
+    }
+    void OnMatch(const Embedding& embedding, MatchKind kind,
+                 uint64_t multiplicity) override {
+      if (owner_->sink() != nullptr) {
+        owner_->sink()->OnMatch(embedding, kind, multiplicity);
+      }
+    }
+
+   private:
+    const UnroutedEngine* owner_;
+  };
+
+  ContinuousEngine* inner_;
+  Forward forward_;
+};
+
+// Routing differential: label-routed delivery (SharedStreamContext::Route)
+// must emit exactly what delivering every event to every engine emits —
+// per query, in global (query, embedding, kind) order, and in every
+// engine's counters, serially and through the 4-thread fan-out. The
+// engine list mixes routed TCM engines with two that take every event:
+// a TCM engine with an absence predicate and a LocalEnumEngine.
+TEST_P(StreamFuzz, RoutedMatchesUnrouted) {
+  std::vector<QueryGraph> tcm_queries{query_};
+  for (uint64_t k = 1; k <= 3; ++k) {
+    QueryGraph variant;
+    Rng rng(GetParam().seed ^ (0x517cc1b727220a95ull * k));
+    if (GenerateQuery(dataset_, GetParam().query, &rng, &variant)) {
+      tcm_queries.push_back(variant);
+    } else {
+      tcm_queries.push_back(tcm_queries[k - 1]);
+    }
+  }
+  QueryGraph absence = query_;
+  if (absence.absences().empty()) {
+    const QueryEdge& e0 = absence.Edge(0);
+    ASSERT_TRUE(absence
+                    .AddAbsence(e0.u, e0.v, e0.elabel,
+                                std::max<Timestamp>(2, GetParam().window / 5))
+                    .ok());
+  }
+
+  struct Tagged {
+    std::vector<std::vector<std::pair<Embedding, MatchKind>>> streams;
+    std::vector<std::tuple<size_t, Embedding, MatchKind>> global;
+    std::vector<EngineCounters> counters;
+  };
+  struct TagSink : MatchSink {
+    TagSink(Tagged* out, size_t index) : out(out), index(index) {}
+    void OnMatch(const Embedding& embedding, MatchKind kind,
+                 uint64_t multiplicity) override {
+      for (uint64_t i = 0; i < multiplicity; ++i) {
+        out->streams[index].emplace_back(embedding, kind);
+        out->global.emplace_back(index, embedding, kind);
+      }
+    }
+    Tagged* out;
+    size_t index;
+  };
+
+  StreamConfig config;
+  config.window = GetParam().window;
+  const auto run = [&](size_t threads, bool routed) {
+    ParallelStreamContext ctx(schema_, threads);
+    std::vector<std::unique_ptr<ContinuousEngine>> engines;
+    engines.push_back(std::make_unique<TcmEngine>(tcm_queries[0], ctx.graph()));
+    engines.push_back(std::make_unique<TcmEngine>(tcm_queries[1], ctx.graph()));
+    engines.push_back(std::make_unique<LocalEnumEngine>(query_, ctx.graph()));
+    engines.push_back(std::make_unique<TcmEngine>(tcm_queries[2], ctx.graph()));
+    engines.push_back(std::make_unique<TcmEngine>(absence, ctx.graph()));
+    engines.push_back(std::make_unique<TcmEngine>(tcm_queries[3], ctx.graph()));
+    Tagged out;
+    out.streams.resize(engines.size());
+    std::vector<std::unique_ptr<TagSink>> sinks;
+    std::vector<std::unique_ptr<UnroutedEngine>> wrappers;
+    for (size_t i = 0; i < engines.size(); ++i) {
+      sinks.push_back(std::make_unique<TagSink>(&out, i));
+      ContinuousEngine* attached = engines[i].get();
+      if (!routed) {
+        wrappers.push_back(std::make_unique<UnroutedEngine>(attached));
+        attached = wrappers.back().get();
+      }
+      attached->set_sink(sinks.back().get());
+      ctx.Attach(attached);
+    }
+    const StreamResult res = RunStream(dataset_, config, &ctx);
+    EXPECT_TRUE(res.completed);
+    for (const auto& e : engines) out.counters.push_back(e->counters());
+    return out;
+  };
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const Tagged unrouted = run(threads, false);
+    const Tagged routed = run(threads, true);
+    ASSERT_EQ(routed.streams.size(), unrouted.streams.size());
+    for (size_t qi = 0; qi < routed.streams.size(); ++qi) {
+      EXPECT_EQ(routed.streams[qi], unrouted.streams[qi])
+          << "per-engine stream of engine " << qi << " diverged under routing";
+      const EngineCounters& a = routed.counters[qi];
+      const EngineCounters& b = unrouted.counters[qi];
+      EXPECT_EQ(a.occurred, b.occurred) << "engine " << qi;
+      EXPECT_EQ(a.expired, b.expired) << "engine " << qi;
+      EXPECT_EQ(a.search_nodes, b.search_nodes) << "engine " << qi;
+      EXPECT_EQ(a.adj_entries_scanned, b.adj_entries_scanned)
+          << "engine " << qi;
+      EXPECT_EQ(a.adj_entries_matched, b.adj_entries_matched)
+          << "engine " << qi;
+    }
+    EXPECT_EQ(routed.global, unrouted.global)
+        << "global match interleaving diverged under routing";
+  }
+}
+
 // Batching differential: driving the same 4-query fan-out with
 // micro-batching disabled (max_batch = 1, the historical one-call-per-
 // event behavior) and with the default batching must emit byte-identical
@@ -434,6 +584,7 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     EXPECT_LE(res.peak_memory_event_index, res.events);
   };
 
+  std::vector<uint64_t> engine_calls;
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     Observability obs;
@@ -448,17 +599,21 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     // two per expiration) and the sink drain after it; serially neither
     // stage runs.
     const MetricsSnapshot snap = obs.Snapshot();
-    const uint64_t phases =
-        threads > 1 ? snap.CounterValue("stream.arrivals") +
-                          2 * snap.CounterValue("stream.expirations")
-                    : 0;
+    const uint64_t all_phases = snap.CounterValue("stream.arrivals") +
+                                2 * snap.CounterValue("stream.expirations");
+    const uint64_t phases = threads > 1 ? all_phases : 0;
     for (const char* stage :
          {"stage.pipeline_step_ns", "stage.sink_drain_ns"}) {
       const HistogramSnapshot* hist = snap.FindHistogram(stage);
       ASSERT_NE(hist, nullptr) << stage;
       EXPECT_EQ(hist->count, phases) << stage;
     }
+    // Routing delivers at most every engine on every phase.
+    engine_calls.push_back(snap.CounterValue("stream.engine_calls"));
+    EXPECT_LE(engine_calls.back(), queries.size() * all_phases);
   }
+  EXPECT_EQ(engine_calls[0], engine_calls[1])
+      << "the threaded fan-out delivered a different set of hook calls";
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalogue, StreamFuzz,
