@@ -36,8 +36,9 @@ int main(int argc, char** argv) {
   spec.num_edges =
       std::max<size_t>(64, static_cast<size_t>(10000 * args.scale));
   // Wide label alphabet: most events are statically irrelevant to any one
-  // engine, so the per-event cost is dominated by the fan-out machinery
-  // itself — the fixed cost that batching amortizes. (A match-heavy
+  // engine and routed past it (DESIGN.md §1), so the per-event cost is
+  // dominated by the driver and the fan-out machinery itself — the fixed
+  // cost that batching amortizes. (A match-heavy
   // preset would only measure backtracking, which batching leaves
   // untouched; bench_parallel_scaling covers that regime.)
   spec.num_vertex_labels = 8;

@@ -7,12 +7,13 @@
 // (bench_util/bench_json.h).
 //
 // The workload differs deliberately from bench_multiquery_scaling: that
-// bench maximizes per-event *irrelevance* (16 vertex labels, most events
-// skipped by TcmEngine::Relevant) to showcase shared-graph maintenance,
-// which would make a parallelism bench measure only barrier overhead.
-// Here the label alphabet is small and the window wide, so most events
-// reach the per-engine filter/DCS/backtracking work that the pool
-// actually shards. Correctness is re-checked on the fly: every thread
+// bench maximizes per-event *irrelevance* (16 vertex labels, so the
+// context's label routing delivers most events to no engine at all) to
+// showcase shared-graph maintenance, which would make a parallelism
+// bench measure only the driver. Here the label alphabet is small and
+// the window wide, so most events are routed to many engines and reach
+// the per-engine filter/DCS/backtracking work that the pool actually
+// shards. Correctness is re-checked on the fly: every thread
 // count must report exactly the serial run's occurred/expired counts
 // (the differential guarantee lives in stream_fuzz_test's
 // ParallelMatchesSerialMultiQuery scenario).

@@ -2,11 +2,12 @@
 // baselines) plus match sinks. Engines are read-only views over the one
 // canonical sliding-window graph owned by a SharedStreamContext
 // (core/shared_context.h): the context applies each arrival/expiration to
-// the graph exactly once and then notifies every attached engine, which
-// maintains only per-query state (DAG, filter indexes, DCS, backtracking
-// scratch) and reports every time-constrained embedding that occurs or
-// expires. See DESIGN.md §1 for the ownership model and the label routing
-// that decides which engines an event reaches.
+// the graph exactly once and then notifies the attached engines the
+// event is routed to. Each engine maintains only per-query state (DAG,
+// filter indexes, DCS, backtracking scratch) and reports every
+// time-constrained embedding that occurs or expires. See DESIGN.md §1 for
+// the ownership model and the label routing that decides which engines an
+// event reaches.
 #ifndef TCSM_CORE_ENGINE_H_
 #define TCSM_CORE_ENGINE_H_
 

@@ -59,7 +59,7 @@ class SharedStreamContext {
 
   /// Applies an arrival to the shared graph (edge ids must be the dense
   /// arrival indices 0, 1, 2, ... of TemporalDataset::Normalize()) and
-  /// notifies every engine with the canonical graph edge.
+  /// notifies the edge's routed engines with the canonical graph edge.
   void OnEdgeArrival(const TemporalEdge& ed);
 
   /// Two-phase expiration (DESIGN.md §3): engines first enumerate the

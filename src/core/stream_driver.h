@@ -4,7 +4,7 @@
 // in chronological order with expirations before arrivals on ties, so an
 // embedding can never use an edge that expires exactly when a new edge
 // arrives (Example II.2). The context applies each event to the shared
-// graph once and fans it out to every attached engine.
+// graph once and fans it out to the attached engines it is routed to.
 #ifndef TCSM_CORE_STREAM_DRIVER_H_
 #define TCSM_CORE_STREAM_DRIVER_H_
 

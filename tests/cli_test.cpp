@@ -463,6 +463,7 @@ TEST(Cli, ObservabilityFlags) {
   EXPECT_NE(stats.str().find("[stats] events="), std::string::npos)
       << stats.str();
   EXPECT_NE(stats.str().find(" ev_per_s="), std::string::npos);
+  EXPECT_NE(stats.str().find(" engine_calls="), std::string::npos);
   EXPECT_NE(stats.str().find("arrival_batch"), std::string::npos)
       << "per-stage summary table missing";
 
@@ -497,6 +498,7 @@ TEST(Cli, ObservabilityFlags) {
       << js.str();
   EXPECT_EQ(js.str().rfind("{\"stream\":", 0), 0u) << js.str();
   EXPECT_NE(js.str().find("\"peak_event_index\":"), std::string::npos);
+  EXPECT_NE(js.str().find("\"engine_calls\":"), std::string::npos);
   EXPECT_NE(js.str().find("\"stages\":{"), std::string::npos);
   std::ostringstream js2;
   ASSERT_EQ(CmdReplay({tel, query, "--json", "--stats-every=100"}, js2), 0);

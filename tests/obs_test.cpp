@@ -321,6 +321,7 @@ TEST(StatsReporterTest, DueFiresOncePerBoundaryCrossing) {
 TEST(StatsReporterTest, TextLineShape) {
   Observability obs;
   obs.stages().arrivals->Add(100);
+  obs.stages().engine_calls->Add(7);
   obs.stages().arrival_batch_ns->Observe(2000);
   std::ostringstream out;
   StatsReporter rep(&obs, 100, /*json=*/false, &out);
@@ -335,6 +336,7 @@ TEST(StatsReporterTest, TextLineShape) {
   EXPECT_NE(line.find(" live=42 "), std::string::npos) << line;
   EXPECT_NE(line.find(" occurred=5 "), std::string::npos) << line;
   EXPECT_NE(line.find(" scan_sel=0.25"), std::string::npos) << line;
+  EXPECT_NE(line.find(" engine_calls=7"), std::string::npos) << line;
   EXPECT_NE(line.find(" arrival_batch_p50_us="), std::string::npos) << line;
   EXPECT_NE(line.find("_p99_us="), std::string::npos) << line;
   EXPECT_EQ(line.back(), '\n');
@@ -355,6 +357,7 @@ TEST(StatsReporterTest, JsonLineShape) {
   EXPECT_NE(line.find("\"live_edges\":7"), std::string::npos) << line;
   EXPECT_NE(line.find("\"occurred\":3"), std::string::npos) << line;
   EXPECT_NE(line.find("\"expired\":1"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"engine_calls\":0,"), std::string::npos) << line;
   EXPECT_NE(line.find("\"stages\":{\"expiry_batch\":{\"count\":1,"),
             std::string::npos)
       << line;
