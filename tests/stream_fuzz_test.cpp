@@ -328,6 +328,8 @@ class UnroutedEngine : public ContinuousEngine {
       : inner_(inner), forward_(this) {
     inner_->set_sink(&forward_);
   }
+  UnroutedEngine(const UnroutedEngine&) = delete;
+  UnroutedEngine& operator=(const UnroutedEngine&) = delete;
 
   std::string name() const override { return inner_->name(); }
   void OnEdgeInserted(const TemporalEdge& ed) override {
