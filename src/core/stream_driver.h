@@ -1,14 +1,18 @@
-// Replays a temporal dataset as a stream of arrival/expiration events
-// against a SharedStreamContext (Algorithm 1's event list L): edge e with
-// timestamp t yields (e, t, +) and (e, t + delta, -). Events are processed
-// in chronological order with expirations before arrivals on ties, so an
+// Replays a temporal stream as arrival/expiration events against a
+// SharedStreamContext (Algorithm 1's event list L): edge e with timestamp
+// t yields (e, t, +) and (e, t + delta, -). Events are processed in
+// chronological order with expirations before arrivals on ties, so an
 // embedding can never use an edge that expires exactly when a new edge
 // arrives (Example II.2). The context applies each event to the shared
 // graph once and fans it out to the attached engines it is routed to.
+// One loop, two sources (DESIGN.md §8): DriveStream runs the schedule over
+// records it pulls from RunStream's dataset or ReplayStream's reader
+// (io/replay.h).
 #ifndef TCSM_CORE_STREAM_DRIVER_H_
 #define TCSM_CORE_STREAM_DRIVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 
 #include "common/status.h"
@@ -25,23 +29,24 @@ class Observability;
 inline constexpr size_t kDefaultMaxBatch = 64;
 
 struct StreamConfig {
-  /// Time window delta; edges with ts <= now - delta are expired.
+  /// Time window delta; edges with ts <= now - delta are expired. For
+  /// ReplayStream, 0 = the `.tel` header's window (neither is an error),
+  /// and an explicit-expiry stream ignores it.
   Timestamp window = 0;
   /// Per-run wall-clock limit; 0 = unlimited. A run that exceeds it is
   /// reported as not completed ("unsolved" in the paper's terms).
   double time_limit_ms = 0;
-  /// Context memory is sampled every this many events; 0 = adaptive
-  /// (at least ~32 samples across the run, so sampling never dominates).
-  size_t memory_sample_every = 0;
-  /// Stop the replay after this many arrivals (0 = all). Expirations of
-  /// already-arrived edges are still delivered.
+  /// Stop pulling the stream after this many arrivals (0 = all). Live
+  /// edges still expire, so the run ends on an empty window. This is the
+  /// CLI's --max-events rate control.
   size_t max_arrivals = 0;
   /// Largest micro-batch handed to the context in one
   /// OnEdgeArrivalBatch/OnEdgeExpiryBatch call (consecutive events of one
   /// kind sharing a timestamp; DESIGN.md §9). 0 = default (64); 1 =
-  /// unbatched, exactly the historical one-call-per-event behavior. The
-  /// match stream is identical for every setting; the cap only bounds how
-  /// long the driver goes between deadline/overflow checks.
+  /// unbatched, exactly the historical one-call-per-event behavior.
+  /// Explicit-expiry records are never coalesced. The match stream is
+  /// identical for every setting; the cap only bounds how long the driver
+  /// goes between deadline/overflow checks.
   size_t max_batch = 0;
   /// Observability bundle (obs/observability.h); null = metrics off, the
   /// driver and context then skip every metrics/trace site (DESIGN.md
@@ -59,10 +64,10 @@ struct StreamConfig {
 
 struct StreamResult {
   bool completed = true;
-  /// Why the run refused to start (completed == false, zero events):
-  /// currently only timestamp/window magnitudes that could overflow the
-  /// expiry arithmetic (ts + window); see kMaxStreamTimestamp. Runs that
-  /// merely hit the time limit or overflow an engine keep an OK status.
+  /// Why RunStream refused or stopped the run (completed == false): a
+  /// window or |ts| above kMaxStreamTimestamp, or a ts below its
+  /// predecessor's; `events` counts what was delivered before. Runs that
+  /// hit the time limit or overflow an engine keep an OK status.
   Status error = Status::Ok();
   double elapsed_ms = 0;
   /// Summed over all engines attached to the context.
@@ -85,6 +90,27 @@ struct StreamResult {
   size_t num_threads = 1;
 };
 
+/// Where DriveStream's records come from.
+struct EventSource {
+  /// Pulls the next record, or sets *done at the end of the stream. An
+  /// error stops the run once the batch pulled so far is delivered.
+  std::function<Status(StreamRecord* record, bool* done)> next;
+  /// Derived expiry at e.ts + window; 0 = explicit expiry records.
+  Timestamp window = 0;
+  /// Arrivals the source will yield, 0 = unknown; sets the memory-sample
+  /// cadence (DESIGN.md §8).
+  size_t known_arrivals = 0;
+  /// Optional: sees every arrival just before the context does.
+  std::function<void(const TemporalEdge&)> on_arrival;
+};
+
+/// The one event-schedule loop. Returns the first error of `source.next`,
+/// a record check or the window check; `result->events` stays valid.
+Status DriveStream(const EventSource& source, const StreamConfig& config,
+                   SharedStreamContext* context, StreamResult* result);
+
+/// Replays `dataset.edges` (ids kept) with expirations at ts + window.
+/// The edges must be sorted by ts; see StreamResult::error.
 StreamResult RunStream(const TemporalDataset& dataset,
                        const StreamConfig& config,
                        SharedStreamContext* context);

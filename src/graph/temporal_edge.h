@@ -1,4 +1,5 @@
-// Plain edge records shared by the streaming graph and dataset loaders.
+// Plain edge records shared by the streaming graph, the dataset loaders
+// and the stream driver.
 #ifndef TCSM_GRAPH_TEMPORAL_EDGE_H_
 #define TCSM_GRAPH_TEMPORAL_EDGE_H_
 
@@ -18,6 +19,18 @@ struct TemporalEdge {
   Label label = 0;
 
   VertexId Other(VertexId v) const { return v == src ? dst : src; }
+};
+
+/// One record of an event stream as the stream driver pulls it
+/// (core/stream_driver.h) — a `.tel` data record in either framing, or an
+/// edge of an in-memory dataset.
+struct StreamRecord {
+  enum class Kind { kArrival, kExpiry };
+  Kind kind = Kind::kArrival;
+  /// For arrivals: src/dst/ts/label (a `.tel` arrival's id is assigned by
+  /// the replay source in arrival order). For explicit expirations only
+  /// `ts` is meaningful — the oldest live edge is the one that expires.
+  TemporalEdge edge;
 };
 
 }  // namespace tcsm

@@ -1,12 +1,8 @@
-// File-driven stream replay: drives a SharedStreamContext (and through it
-// every attached engine) from a StreamReader instead of an in-memory
-// TemporalDataset. Memory is O(window): the only state besides the
-// reader's current line is the FIFO of live edges, which is needed to
-// deliver each expiration's edge record. The event schedule is identical
-// to core/stream_driver.h's RunStream — arrivals in timestamp order,
-// derived expirations at ts + window, expirations before arrivals on ties
-// — so file replay and in-memory replay produce byte-identical match
-// streams (enforced by tests/io_roundtrip_test.cpp).
+// File-driven stream replay: the StreamReader source of
+// core/stream_driver.h's one event-schedule loop, so file replay and
+// in-memory replay produce byte-identical match streams (enforced by
+// tests/io_roundtrip_test.cpp). Memory is O(window): the loop's FIFO of
+// live edges plus the reader's current line.
 #ifndef TCSM_IO_REPLAY_H_
 #define TCSM_IO_REPLAY_H_
 
@@ -19,36 +15,8 @@ namespace tcsm {
 
 class FlightRecorder;  // io/flight_recorder.h
 
-struct ReplayOptions {
-  /// Expiry window for derived-expiry streams. 0 = take the header's
-  /// window; a stream with neither is an InvalidArgument error. Ignored
-  /// by explicit-expiry streams (the file carries its own schedule).
-  Timestamp window = 0;
-  /// Per-run wall-clock limit; 0 = unlimited (see StreamConfig).
-  double time_limit_ms = 0;
-  /// Stop pulling the stream after this many arrivals (0 = all); live
-  /// edges still expire, so the run ends on an empty window. This is the
-  /// CLI's --max-events rate control.
-  size_t max_arrivals = 0;
-  /// Context memory is sampled every this many events; 0 = every 64
-  /// events (a stream's length is unknown up front, so unlike RunStream
-  /// the cadence cannot adapt to it). A sample does not grow with the
-  /// vertex count: it is O(1) for the graph and O(|V(q)|) per max-min
-  /// index, plus the DCS walk (DESIGN.md §7).
-  size_t memory_sample_every = 0;
-  /// Largest micro-batch handed to the context in one batch call (see
-  /// StreamConfig::max_batch): consecutive same-timestamp arrivals, or
-  /// same-timestamp derived expirations. 0 = default (kDefaultMaxBatch);
-  /// 1 = unbatched. Explicit-expiry records are never coalesced — the
-  /// file carries its own schedule. The match stream is identical for
-  /// every setting.
-  size_t max_batch = 0;
-  /// Observability bundle + periodic stats, exactly as in StreamConfig
-  /// (core/stream_driver.h): null obs = metrics off = no-op sites.
-  Observability* obs = nullptr;
-  size_t stats_every = 0;
-  bool stats_json = false;
-  std::ostream* stats_out = nullptr;
+/// StreamConfig plus what only a file replay needs.
+struct ReplayOptions : StreamConfig {
   /// Optional flight recorder (io/flight_recorder.h): every delivered
   /// arrival is recorded before it reaches the context, so a dump taken
   /// after a mid-replay failure still holds the event that triggered it.

@@ -58,16 +58,6 @@ struct TelHeader {
   bool explicit_expiry = false;
 };
 
-/// One data record of a `.tel` stream (either framing).
-struct StreamRecord {
-  enum class Kind { kArrival, kExpiry };
-  Kind kind = Kind::kArrival;
-  /// For arrivals: src/dst/ts/label as parsed (id is assigned by the
-  /// replay driver in arrival order). For explicit expirations only `ts`
-  /// is meaningful — the oldest live edge is the one that expires.
-  TemporalEdge edge;
-};
-
 }  // namespace tcsm
 
 #endif  // TCSM_IO_TEL_FORMAT_H_

@@ -42,10 +42,12 @@ TEST(ReadmeSnippet, DirectedOrderedTriangle) {
     e.ts = t;
     dataset.edges.push_back(e);
   };
+  // The README asks for an edge list sorted by timestamp; the driver
+  // refuses one that is not.
   add(0, 1, 10);   // t1 candidate
+  add(2, 0, 15);   // violates t2 < t3 and completes no rotation either
   add(1, 2, 20);   // t2 candidate
   add(2, 0, 30);   // completes the ordered ring
-  add(2, 0, 15);   // violates t2 < t3 and completes no rotation either
   add(0, 1, 900);  // much later; ring members will have expired
 
   StreamConfig config;
@@ -58,7 +60,7 @@ TEST(ReadmeSnippet, DirectedOrderedTriangle) {
   ASSERT_FALSE(sink.matches().empty());
   const Embedding& m = sink.matches().front().first;
   EXPECT_EQ(m.vertices, (std::vector<VertexId>{0, 1, 2}));
-  EXPECT_EQ(m.edges, (std::vector<EdgeId>{0, 1, 2}));
+  EXPECT_EQ(m.edges, (std::vector<EdgeId>{0, 2, 3}));
 }
 
 }  // namespace

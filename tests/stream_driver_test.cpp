@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+
 #include "core/stream_driver.h"
 #include "core/tcm_engine.h"
+#include "io/replay.h"
 #include "testlib/running_example.h"
 
 namespace tcsm {
@@ -43,7 +47,40 @@ TemporalDataset ThreeEdges() {
 
 GraphSchema TwoVertexSchema() { return GraphSchema{false, {0, 0}}; }
 
-TEST(StreamDriver, ExpirationsBeforeArrivalsOnTies) {
+/// The two front ends of the one driver loop: RunStream over the dataset,
+/// and ReplayStream over the same edges written as a text .tel.
+enum class FrontEnd { kInMemory, kTextTel };
+
+StreamResult Drive(FrontEnd front, const TemporalDataset& ds,
+                   const StreamConfig& config, SharedStreamContext* ctx) {
+  if (front == FrontEnd::kInMemory) return RunStream(ds, config, ctx);
+  std::ostringstream tel;
+  tel << "tel 1 undirected vertices=" << ds.vertex_labels.size() << "\n";
+  for (const TemporalEdge& e : ds.edges) {
+    tel << "e " << e.src << ' ' << e.dst << ' ' << e.ts << "\n";
+  }
+  std::istringstream in(tel.str());
+  StreamReader reader(in, "edges.tel");
+  EXPECT_TRUE(reader.Init().ok());
+  ReplayOptions options;
+  static_cast<StreamConfig&>(options) = config;
+  StatusOr<StreamResult> res = ReplayStream(&reader, options, ctx);
+  EXPECT_TRUE(res.ok()) << res.status().ToString();
+  return res.ok() ? res.value() : StreamResult{};
+}
+
+class StreamSchedule : public ::testing::TestWithParam<FrontEnd> {};
+
+INSTANTIATE_TEST_SUITE_P(FrontEnds, StreamSchedule,
+                         ::testing::Values(FrontEnd::kInMemory,
+                                           FrontEnd::kTextTel),
+                         [](const ::testing::TestParamInfo<FrontEnd>& info) {
+                           return info.param == FrontEnd::kInMemory
+                                      ? "InMemory"
+                                      : "TextTel";
+                         });
+
+TEST_P(StreamSchedule, ExpirationsBeforeArrivalsOnTies) {
   // Window 10: edge@1 expires at 11 — exactly when edge@11 arrives; the
   // expiration must be delivered first (Example II.2 semantics).
   SharedStreamContext ctx(TwoVertexSchema());
@@ -51,7 +88,7 @@ TEST(StreamDriver, ExpirationsBeforeArrivalsOnTies) {
   ctx.Attach(&engine);
   StreamConfig config;
   config.window = 10;
-  const StreamResult res = RunStream(ThreeEdges(), config, &ctx);
+  const StreamResult res = Drive(GetParam(), ThreeEdges(), config, &ctx);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(engine.events.size(), 6u);
   EXPECT_TRUE(engine.events[0].arrival);   // +e0 @1
@@ -76,14 +113,14 @@ TEST(StreamDriver, AllEdgesEventuallyExpire) {
   EXPECT_EQ(arrivals, 3u);
 }
 
-TEST(StreamDriver, MaxArrivalsTruncates) {
+TEST_P(StreamSchedule, MaxArrivalsTruncates) {
   SharedStreamContext ctx(TwoVertexSchema());
   RecordingEngine engine;
   ctx.Attach(&engine);
   StreamConfig config;
   config.window = 1000;
   config.max_arrivals = 2;
-  const StreamResult res = RunStream(ThreeEdges(), config, &ctx);
+  const StreamResult res = Drive(GetParam(), ThreeEdges(), config, &ctx);
   ASSERT_TRUE(res.completed);
   EXPECT_EQ(res.events, 4u);  // 2 arrivals + their 2 expirations
   size_t arrivals = 0;
@@ -114,7 +151,6 @@ TEST(StreamDriver, PeakMemorySampled) {
   SingleQueryContext<TcmEngine> run(q, testlib::RunningExampleSchema());
   StreamConfig config;
   config.window = 10;
-  config.memory_sample_every = 1;
   const StreamResult res =
       RunStream(testlib::RunningExampleDataset(), config, &run);
   EXPECT_GT(res.peak_memory_bytes, 0u);
@@ -144,6 +180,34 @@ TEST(StreamDriver, RejectsTimestampsThatCouldOverflowExpiry) {
   EXPECT_FALSE(res.error.ok());
   EXPECT_EQ(res.events, 0u);
   EXPECT_TRUE(engine.events.empty());
+
+  // Every edge is checked, not just the last: INT64_MAX - 5 followed by 5
+  // would compute (INT64_MAX - 5) + 10 when the second edge arrives.
+  ds.edges[0].ts = std::numeric_limits<Timestamp>::max() - 5;
+  TemporalEdge tame = e;
+  tame.id = 1;
+  tame.ts = 5;
+  ds.edges.push_back(tame);
+  const StreamResult res_first = RunStream(ds, config, &ctx);
+  EXPECT_FALSE(res_first.completed);
+  EXPECT_FALSE(res_first.error.ok());
+  EXPECT_EQ(res_first.events, 0u);
+  EXPECT_TRUE(engine.events.empty());
+
+  // An unsorted dataset would expire edges out of FIFO order. The run
+  // stops at the edge that goes back in time; what came before it (+@1,
+  // -@1 at 11, +@20) was delivered and is counted.
+  TemporalDataset unsorted = ThreeEdges();
+  unsorted.edges[1].ts = 20;
+  unsorted.edges[2].ts = 5;
+  SharedStreamContext unsorted_ctx(TwoVertexSchema());
+  RecordingEngine unsorted_engine;
+  unsorted_ctx.Attach(&unsorted_engine);
+  const StreamResult res_unsorted = RunStream(unsorted, config, &unsorted_ctx);
+  EXPECT_FALSE(res_unsorted.completed);
+  EXPECT_FALSE(res_unsorted.error.ok());
+  EXPECT_EQ(res_unsorted.events, 3u);
+  EXPECT_EQ(unsorted_engine.events.size(), 3u);
 
   // An oversized window is refused the same way, even with tame edges.
   StreamConfig huge_window;
@@ -186,7 +250,7 @@ class LiveWeightedEngine : public ContinuousEngine {
   size_t live_ = 0;
 };
 
-TEST(StreamDriver, PeakMemoryCatchesHighWaterBetweenSamples) {
+TEST_P(StreamSchedule, PeakMemoryCatchesHighWaterBetweenSamples) {
   // 20 arrivals, then a pure-expiry tail: the peak (20 live edges) sits
   // between the adaptive sample points, and every sample the old cadence
   // took after the tail began would see a shrinking window. The driver
@@ -206,7 +270,7 @@ TEST(StreamDriver, PeakMemoryCatchesHighWaterBetweenSamples) {
   }
   StreamConfig config;
   config.window = 1000;  // nothing expires until the stream is exhausted
-  const StreamResult res = RunStream(ds, config, &ctx);
+  const StreamResult res = Drive(GetParam(), ds, config, &ctx);
   ASSERT_TRUE(res.completed);
   EXPECT_GE(res.peak_memory_bytes, size_t{20} << 20);
 }
@@ -227,7 +291,7 @@ class BatchRecordingContext : public SharedStreamContext {
   std::vector<size_t> expiry_batches;
 };
 
-TEST(StreamDriver, CoalescesSameTimestampRuns) {
+TEST_P(StreamSchedule, CoalescesSameTimestampRuns) {
   TemporalDataset ds;
   ds.vertex_labels = {0, 0};
   const Timestamp times[] = {1, 1, 1, 2, 2, 9};
@@ -245,7 +309,7 @@ TEST(StreamDriver, CoalescesSameTimestampRuns) {
     BatchRecordingContext ctx(TwoVertexSchema());
     RecordingEngine engine;
     ctx.Attach(&engine);
-    const StreamResult res = RunStream(ds, config, &ctx);
+    const StreamResult res = Drive(GetParam(), ds, config, &ctx);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(res.events, 12u);
     EXPECT_EQ(ctx.arrival_batches, (std::vector<size_t>{3, 2, 1}));
@@ -256,17 +320,61 @@ TEST(StreamDriver, CoalescesSameTimestampRuns) {
     // The cap splits runs; 1 restores the one-call-per-event behavior.
     BatchRecordingContext ctx(TwoVertexSchema());
     config.max_batch = 2;
-    const StreamResult res = RunStream(ds, config, &ctx);
+    const StreamResult res = Drive(GetParam(), ds, config, &ctx);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(ctx.arrival_batches, (std::vector<size_t>{2, 1, 2, 1}));
+    EXPECT_EQ(ctx.expiry_batches, (std::vector<size_t>{2, 1, 2, 1}));
   }
   {
     BatchRecordingContext ctx(TwoVertexSchema());
     config.max_batch = 1;
-    const StreamResult res = RunStream(ds, config, &ctx);
+    const StreamResult res = Drive(GetParam(), ds, config, &ctx);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(ctx.arrival_batches, std::vector<size_t>(6, 1));
     EXPECT_EQ(ctx.expiry_batches, std::vector<size_t>(6, 1));
+  }
+}
+
+/// Context that counts the driver's memory samples.
+class SampleCountingContext : public SharedStreamContext {
+ public:
+  using SharedStreamContext::SharedStreamContext;
+  size_t EstimateMemoryBytes() const override {
+    ++samples;
+    return SharedStreamContext::EstimateMemoryBytes();
+  }
+  mutable size_t samples = 0;
+};
+
+TEST(StreamDriver, SamplingRateFollowsTheSource) {
+  // A sample walks every engine's DCS, so its rate is set by the source:
+  // an in-memory dataset knows its length and is sampled ~32 times per
+  // run whatever that length; a file is sampled every 64 events. Both add
+  // the high-water sample after the last arrival and the final one.
+  for (const size_t n : {320, 1000}) {
+    TemporalDataset ds;
+    ds.vertex_labels = {0, 0};
+    for (size_t i = 0; i < n; ++i) {
+      TemporalEdge e;
+      e.id = static_cast<EdgeId>(i);
+      e.src = 0;
+      e.dst = 1;
+      e.ts = static_cast<Timestamp>(i + 1);
+      ds.edges.push_back(e);
+    }
+    StreamConfig config;
+    config.window = 10;  // distinct timestamps: every batch is one event
+    const size_t events = 2 * n;
+    {
+      SampleCountingContext ctx(TwoVertexSchema());
+      ASSERT_EQ(Drive(FrontEnd::kInMemory, ds, config, &ctx).events, events);
+      EXPECT_EQ(ctx.samples, 32u + 2) << n;
+    }
+    {
+      SampleCountingContext ctx(TwoVertexSchema());
+      ASSERT_EQ(Drive(FrontEnd::kTextTel, ds, config, &ctx).events, events);
+      EXPECT_EQ(ctx.samples, events / 64 + 2) << n;
+    }
   }
 }
 
